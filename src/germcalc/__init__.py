@@ -8,8 +8,8 @@ from .ring import (DEFAULT_PRIME, BlockOrder, DegRevLex, Field, GermRing,
                    NegDegRevLex, ParseError, Polynomial, render)
 from .stdbasis import (INCONCLUSIVE, INFINITE, DegreeCapExceeded,
                        StandardBasis, Vector, colength, ideal_basis,
-                       is_member, mora_divide, mora_normal_form,
-                       oracle_colength, standard_basis)
+                       mora_divide, mora_normal_form, oracle_colength,
+                       staircase, standard_basis)
 from .modops import (ArtinianAlgebra, InternalError, PolyMatrix, Subquotient,
                      determinant, ideal_product, intersect, jacobian_matrix,
                      koszul_tor, maximal_minors, matrix_rank, quotient_ideal,

@@ -34,8 +34,8 @@ from .invariants import (
 )
 from .modops import InternalError
 from .ring import ParseError, render
-from .stdbasis import (INCONCLUSIVE, INFINITE, DegreeCapExceeded, colength,
-                       ideal_basis, oracle_colength)
+from .stdbasis import (INFINITE, DegreeCapExceeded, Sentinel, degree_cap,
+                       ideal_colength, oracle_colength, step_budget)
 
 SCHEMA_VERSION = 1
 SAFE_INT = 2 ** 53 - 1
@@ -53,11 +53,9 @@ class InputError(ValueError):
 
 
 def jsonable(value):
-    """Exact JSON encoding: big integers become strings, INFINITE a marker."""
-    if value is INFINITE:
-        return "infinite"
-    if value is INCONCLUSIVE:
-        return "inconclusive"
+    """Exact JSON encoding: big integers become strings, sentinels markers."""
+    if isinstance(value, Sentinel):
+        return value.value
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -234,9 +232,8 @@ def check_identity(identity: str, gf: Germfile) -> dict:
         if X.k != 1:
             return skip("needs a hypersurface")
         Jf = jacobian_ideal(f)
-        tor = tor1_dimension(list(X.phi), Jf)
-        gens = [g for g in list(X.phi) + Jf if not g.is_zero]
-        return settle(tor, colength(ideal_basis(gens)) if gens else INFINITE)
+        return settle(tor1_dimension(list(X.phi), Jf),
+                      ideal_colength(list(X.phi) + Jf))
     if identity == "p47":
         tau = tjurina(X)
         first, second = tau_via_theta_quotient(X, f)
@@ -245,22 +242,15 @@ def check_identity(identity: str, gf: Germfile) -> dict:
     if identity == "p41":
         if f is None:
             return skip("needs f")
-        full = _finite(df_image(f, theta_x(X)))
-        trivial = _finite(df_image(f, theta_x_trivial(X)))
-        return settle("finite" if full else "infinite",
-                      "finite" if trivial else "infinite")
+        full = ideal_colength(df_image(f, theta_x(X)))
+        trivial = ideal_colength(df_image(f, theta_x_trivial(X)))
+        return settle("infinite" if full is INFINITE else "finite",
+                      "infinite" if trivial is INFINITE else "finite")
     if identity == "cor23":
         if not gf.options.get("weighted_homogeneous"):
             return skip("needs the weighted_homogeneous option")
         return settle(milnor_icis(X), tjurina(X))
     raise InputError(f"unknown identity {identity!r}")
-
-
-def _finite(gens) -> bool:
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return False
-    return colength(ideal_basis(gens)) is not INFINITE
 
 
 def verify_report(gf: Germfile, identities: list[str]) -> dict:
@@ -352,7 +342,7 @@ def cmd_oracle(args) -> int:
         raise InputError("no nonzero generators")
     start = time.perf_counter()
     oracle = oracle_colength(gens, truncation=args.truncation)
-    engine = colength(ideal_basis(gens))
+    engine = ideal_colength(gens)
     report = base_report("oracle")
     report["oracle"] = jsonable(oracle)
     report["engine"] = jsonable(engine)
@@ -458,6 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        degree_cap(), step_budget()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (GermfileError, ParseError, InputError, OSError,

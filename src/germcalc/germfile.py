@@ -46,15 +46,23 @@ def parse_germfile(text: str, name: str = "") -> Germfile:
             parts = line.split()
             if len(parts) < 3:
                 raise GermfileError("ring needs a field and variables", lineno)
+            if len(set(parts[2:])) != len(parts[2:]):
+                raise GermfileError("duplicate variable names", lineno)
             ring = GermRing(tuple(parts[2:]), _parse_field(parts[1], lineno))
         elif line.startswith("X:"):
             if ring is None:
                 raise GermfileError("X before ring declaration", lineno)
+            if phis is not None:
+                raise GermfileError("duplicate X: line", lineno)
             phis = [_parse_poly(ring, chunk, lineno)
                     for chunk in line[2:].split(",")]
+            if len(phis) > ring.nvars:
+                raise GermfileError("more equations than variables", lineno)
         elif line.startswith("f:"):
             if ring is None:
                 raise GermfileError("f before ring declaration", lineno)
+            if f is not None:
+                raise GermfileError("duplicate f: line", lineno)
             f = _parse_poly(ring, line[2:], lineno)
         elif line.startswith("options:"):
             for chunk in line[len("options:"):].split(","):

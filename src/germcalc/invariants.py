@@ -9,14 +9,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .ring import (BlockOrder, DegRevLex, GermRing, NegDegRevLex, Polynomial,
-                   render)
+from .ring import (QQ, BlockOrder, DegRevLex, GermRing, NegDegRevLex,
+                   Polynomial, render)
 from .stdbasis import (INFINITE, DegreeCapExceeded, Vector, colength,
-                       ideal_basis, oracle_colength, standard_basis)
-from .modops import (ArtinianAlgebra, InternalError, PolyMatrix, Subquotient,
-                     dedupe, dedupe_vectors, ideal_product, intersect,
-                     jacobian_matrix, koszul_tor, maximal_minors,
-                     quotient_ideal, syzygies)
+                       ideal_colength, oracle_colength, standard_basis)
+from .modops import (InternalError, PolyMatrix, Subquotient, dedupe,
+                     dedupe_vectors, ideal_product, intersect, jacobian_matrix,
+                     koszul_tor, matrix_rank, maximal_minors, quotient_ideal,
+                     syzygies)
 
 
 class ChainDegenerate(RuntimeError):
@@ -55,10 +55,7 @@ def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
 
 def milnor_number(f: Polynomial):
     """Colength of the Jacobian ideal; INFINITE for a non-isolated critical point."""
-    J = jacobian_ideal(f)
-    if not J:
-        return INFINITE
-    return colength(ideal_basis(J))
+    return ideal_colength(jacobian_ideal(f))
 
 
 def _chain_step_colength(gens: list[Polynomial]):
@@ -66,7 +63,7 @@ def _chain_step_colength(gens: list[Polynomial]):
     oracle when the reduction degrees blow past the safety cap; a stabilized
     oracle value is exact."""
     try:
-        return colength(ideal_basis(gens))
+        return ideal_colength(gens)
     except DegreeCapExceeded:
         val = oracle_colength(gens)
         if isinstance(val, int):
@@ -81,12 +78,7 @@ def _chain_colengths(phis: list[Polynomial]):
     for i in range(1, len(phis) + 1):
         head = phis[:i]
         minors = maximal_minors(jacobian_matrix(head), i)
-        gens = list(phis[: i - 1]) + minors
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
-            out.append(INFINITE)
-            return out
-        out.append(_chain_step_colength(gens))
+        out.append(_chain_step_colength(list(phis[: i - 1]) + minors))
         if out[-1] is INFINITE:
             return out
     return out
@@ -97,18 +89,12 @@ def _random_mix(phis: list[Polynomial], rng: random.Random) -> list[Polynomial]:
     k = len(phis)
     ring = phis[0].ring
     while True:
-        A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        if _int_det(A) != 0:
+        A = [[QQ.from_fraction(rng.randint(-3, 3)) for _ in range(k)]
+             for _ in range(k)]
+        if matrix_rank(A, QQ) == k:
             break
     return [sum((ring.constant(A[i][j]) * phis[j] for j in range(k)), ring.zero)
             for i in range(k)]
-
-
-def _int_det(A: list[list[int]]) -> int:
-    if len(A) == 1:
-        return A[0][0]
-    return sum((-1) ** j * A[0][j] * _int_det([r[:j] + r[j + 1:] for r in A[1:]])
-               for j in range(len(A)))
 
 
 def milnor_chain(phis: list[Polynomial], seed: int = 0, attempts: int = 10):
@@ -141,8 +127,7 @@ def milnor_icis(X: ICIS, seed: int = 0):
 def is_icis(X: ICIS):
     """Finiteness certificate: the singular locus colength and the full chain."""
     minors = maximal_minors(jacobian_matrix(list(X.phi)), X.k)
-    gens = [g for g in list(X.phi) + minors if not g.is_zero]
-    sing = colength(ideal_basis(gens)) if gens else INFINITE
+    sing = ideal_colength(list(X.phi) + minors)
     certificate = {"singular_colength": sing}
     if sing is INFINITE:
         return False, certificate
@@ -234,13 +219,6 @@ def df_image(f: Polynomial, theta: list[Vector]) -> list[Polynomial]:
 # ---------------------------------------------------------------------------
 # Bruce-Roberts numbers
 
-def _colength_of(gens: list[Polynomial]):
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return INFINITE
-    return colength(ideal_basis(gens))
-
-
 def relative_jacobian_ideal(f: Polynomial, X: ICIS) -> list[Polynomial]:
     """Maximal minors of the Jacobian matrix of (f, phi)."""
     return maximal_minors(jacobian_matrix([f] + list(X.phi)), X.k + 1)
@@ -250,12 +228,12 @@ def br_minus_direct(f: Polynomial, X: ICIS, theta: list[Vector] | None = None):
     """colength(df(Theta_X) + I_X)."""
     if theta is None:
         theta = theta_x(X)
-    return _colength_of(df_image(f, theta) + list(X.phi))
+    return ideal_colength(df_image(f, theta) + list(X.phi))
 
 
 def br_minus_formula(f: Polynomial, X: ICIS):
     """colength(J(f,phi) + I_X) - tau; INFINITE when f is not finite on X."""
-    c = _colength_of(relative_jacobian_ideal(f, X) + list(X.phi))
+    c = ideal_colength(relative_jacobian_ideal(f, X) + list(X.phi))
     if c is INFINITE:
         return INFINITE
     return c - tjurina(X)
@@ -284,7 +262,7 @@ def br_direct(f: Polynomial, X: ICIS, theta: list[Vector] | None = None):
     """colength(df(Theta_X))."""
     if theta is None:
         theta = theta_x(X)
-    return _colength_of(df_image(f, theta))
+    return ideal_colength(df_image(f, theta))
 
 
 def tor1_dimension(I: list[Polynomial], J: list[Polynomial],
@@ -296,7 +274,7 @@ def tor1_dimension(I: list[Polynomial], J: list[Polynomial],
     if not inter:
         return 0
     sub = Subquotient.of_ideals(inter, prod, check=False).colength()
-    if koszul_check and _colength_of(J) is not INFINITE:
+    if koszul_check and ideal_colength(J) is not INFINITE:
         kos = koszul_tor(I, J)[1]
         if kos != sub:
             raise InternalError(
@@ -311,7 +289,7 @@ def br_tor_formula(f: Polynomial, X: ICIS):
     mu_sect = section_milnor(f, X)
     mu = milnor_icis(X)
     tau = tjurina(X)
-    mixed = _colength_of(Jf + list(X.phi))
+    mixed = ideal_colength(Jf + list(X.phi))
     tor1 = tor1_dimension(list(X.phi), Jf)
     parts = (mu_f, mu_sect, mu, tau, mixed, tor1)
     if any(v is INFINITE for v in parts):
@@ -327,7 +305,7 @@ def br_codim2_formula(f: Polynomial, X: ICIS):
     mu_sect = section_milnor(f, X)
     mu = milnor_icis(X)
     tau = tjurina(X)
-    mixed = _colength_of(jacobian_ideal(f) + list(X.phi))
+    mixed = ideal_colength(jacobian_ideal(f) + list(X.phi))
     parts = (mu_f, mu_sect, mu, tau, mixed)
     if any(v is INFINITE for v in parts):
         return INFINITE
@@ -463,7 +441,7 @@ def _is_regular_sequence(gens: list[Polynomial], rng: random.Random,
     ring = gens[0].ring
     n, k = ring.nvars, len(gens)
     if k == n:
-        return _colength_of(gens) is not INFINITE
+        return ideal_colength(gens) is not INFINITE
     for _ in range(attempts):
         linears = []
         for _ in range(n - k):
@@ -471,7 +449,7 @@ def _is_regular_sequence(gens: list[Polynomial], rng: random.Random,
                       for _ in range(n)]
             linears.append(sum((ring.constant(c) * ring.var(i)
                                 for i, c in enumerate(coeffs)), ring.zero))
-        if _colength_of(gens + linears) is not INFINITE:
+        if ideal_colength(gens + linears) is not INFINITE:
             return True
     return False
 
@@ -497,14 +475,14 @@ def conjecture_scan(n: int, k: int, trials: int, maxdeg: int, seed: int,
                 break
         for _ in range(50):
             cand = [_random_poly(ring, maxdeg, rng) for _ in range(n)]
-            if all(not p.is_zero for p in cand) and _colength_of(cand) is not INFINITE:
+            if all(not p.is_zero for p in cand) and ideal_colength(cand) is not INFINITE:
                 J = cand
                 break
         if I is None or J is None:
             rows.append({"trial": trial, "status": "degenerate"})
             continue
         tors = koszul_tor(I, J)
-        c = _colength_of(I + J)
+        c = ideal_colength(I + J)
         predicted = [comb(k, i) * c for i in range(k + 1)]
         euler = sum((-1) ** i * t for i, t in enumerate(tors))
         rows.append({

@@ -9,7 +9,7 @@ import itertools
 from .ring import (BlockOrder, DegRevLex, GermRing, NegDegRevLex, Polynomial,
                    mono_deg, mono_div)
 from .stdbasis import (INFINITE, Vector, colength, ideal_basis, mora_divide,
-                       standard_basis)
+                       staircase, standard_basis)
 
 
 class InternalError(RuntimeError):
@@ -41,9 +41,6 @@ class PolyMatrix:
 
     def column(self, j: int) -> Vector:
         return Vector(tuple(self.rows[i][j] for i in range(self.nrows)))
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector of rank ncols."""
@@ -226,13 +223,6 @@ def ideal_product(I: list[Polynomial], J: list[Polynomial]) -> list[Polynomial]:
     return dedupe([a * b for a in I for b in J])
 
 
-def ideal_sum_colength(*gen_lists: list[Polynomial]):
-    gens = [p for gl in gen_lists for p in gl if not p.is_zero]
-    if not gens:
-        return INFINITE
-    return colength(ideal_basis(gens))
-
-
 # ---------------------------------------------------------------------------
 # subquotients
 
@@ -295,65 +285,27 @@ class Subquotient:
 # exact linear algebra
 
 def matrix_rank(rows: list[list], field) -> int:
-    """Exact rank: fraction-free Bareiss over Q, plain elimination over F_p."""
-    if field.p is not None:
-        return _rank_mod_p(rows, field.p)
-    int_rows = []
-    for r in rows:
-        den = 1
-        for c in r:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        int_rows.append([int(c * den) for c in r])
-    return _rank_bareiss(int_rows)
+    """Exact rank by Gaussian elimination over the coefficient field.
 
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-    return gcd(a, b)
-
-
-def _rank_mod_p(rows, p: int) -> int:
-    rows = [[c % p for c in r] for r in rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    Rows with a zero in the pivot column are skipped and only the columns
+    from the pivot onward are updated, which keeps sparse matrices cheap.
+    """
+    p, zero = field.p, field.zero
+    rows = [list(r) if p is None else [c % p for c in r] for r in rows]
+    rows = [r for r in rows if any(c != zero for c in r)]
     rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != zero), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            r = rows[i]
-            rows[i] = [(prow[col] * r[j] - r[col] * prow[j]) // prev
-                       for j in range(ncols)]
-        prev = prow[col]
+        pinv = field.inv(rows[rank][col])
+        tail = rows[rank][col:]
+        for r in rows[rank + 1:]:
+            if r[col] != zero:
+                f = field.mul(r[col], pinv)
+                r[col:] = ([a - f * b for a, b in zip(r[col:], tail)] if p is None
+                           else [(a - f * b) % p for a, b in zip(r[col:], tail)])
         rank += 1
         if rank == len(rows):
             break
@@ -377,32 +329,15 @@ class ArtinianAlgebra:
             raise ValueError("zero ideal has infinite colength")
         self.ring = J[0].ring
         self.sb = ideal_basis(J)
-        dim = colength(self.sb)
-        if dim is INFINITE:
+        self._leads = [(g.lead()[1], g) for g in self.sb.generators]
+        basis = staircase([m for m, _ in self._leads], self.ring.nvars)
+        if basis is INFINITE:
             raise ValueError("ideal does not have finite colength")
-        self.dim = dim
-        self.trunc = max(dim, 1)
-        leads = [(g.lead()[1], g) for g in self.sb.generators]
-        self._leads = leads
-        self.basis = self._standard_monomials()
+        self.basis = sorted(basis, key=self.ring.mono_key, reverse=True)
+        self.dim = len(self.basis)
+        self.trunc = max(self.dim, 1)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._var_tables = None
-
-    def _standard_monomials(self) -> list[tuple]:
-        n = self.ring.nvars
-        lead_monos = [m for m, _ in self._leads]
-        bounds = []
-        for i in range(n):
-            pure = [m[i] for m in lead_monos
-                    if all(m[j] == 0 for j in range(n) if j != i)]
-            bounds.append(min(pure))
-        out = []
-        for mono in itertools.product(*(range(b) for b in bounds)):
-            if not any(mono_div(mono, m) is not None for m in lead_monos):
-                out.append(mono)
-        out.sort(key=self.ring.mono_key, reverse=True)
-        assert len(out) == self.dim
-        return out
 
     def normal_form(self, p: Polynomial) -> dict:
         """Fully reduced representative, supported on standard monomials."""
@@ -512,6 +447,3 @@ def koszul_tor(I: list[Polynomial], J: list[Polynomial]) -> list:
         dims.append(len(subsets[p]) * mu - ranks[p] - ranks[p + 1])
     return dims
 
-
-def subquotient_colength(S: Subquotient):
-    return S.colength()

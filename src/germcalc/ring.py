@@ -274,9 +274,6 @@ class GermRing:
     def parse(self, text: str) -> "Polynomial":
         return _Parser(text, self).parse()
 
-    def with_same_vars(self, order: MonomialOrder) -> "GermRing":
-        return GermRing(self.names, self.field, order)
-
     def __eq__(self, other):
         return (isinstance(other, GermRing) and self.names == other.names
                 and self.field == other.field and self.order == other.order)
@@ -310,9 +307,6 @@ class Polynomial:
     def lead_mono(self) -> tuple:
         return self.terms[0][0]
 
-    def lead_coeff(self):
-        return self.terms[0][1]
-
     def max_degree(self) -> int:
         """Largest total degree of a term (-1 for zero)."""
         return max((mono_deg(m) for m, _ in self.terms), default=-1)
@@ -332,9 +326,6 @@ class Polynomial:
     def is_unit(self) -> bool:
         """Unit of the local ring: nonzero constant term."""
         return self.constant_coeff() != self.ring.field.zero
-
-    def coeff_dict(self) -> dict:
-        return dict(self.terms)
 
     def __add__(self, other):
         other = self._lift(other)

@@ -7,42 +7,29 @@ standard basis doubles as a component-elimination basis for syzygy extraction.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import os
+from math import gcd
 
 from .ring import GermRing, Polynomial, mono_deg, mono_div, mono_lcm, mono_mul
 
 
-class Infinite:
-    """Sentinel for an infinite colength."""
+class Sentinel(enum.Enum):
+    """Non-numeric colength: INFINITE, or INCONCLUSIVE for an oracle run that
+    hit its cap without stabilizing.  The value is the JSON encoding."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INFINITE = "infinite"
+    INCONCLUSIVE = "inconclusive"
 
     def __repr__(self):
-        return "INFINITE"
+        return self.name
+
+    __str__ = __repr__
 
 
-class Inconclusive:
-    """Sentinel for an oracle run that hit its cap without stabilizing."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INCONCLUSIVE"
-
-
-INFINITE = Infinite()
-INCONCLUSIVE = Inconclusive()
+INFINITE = Sentinel.INFINITE
+INCONCLUSIVE = Sentinel.INCONCLUSIVE
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -53,12 +40,22 @@ DEFAULT_DEGREE_CAP = 30
 DEFAULT_STEP_BUDGET = 50_000
 
 
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def degree_cap() -> int:
-    return int(os.environ.get("GERMCALC_DEGREE_CAP", DEFAULT_DEGREE_CAP))
+    return _env_int("GERMCALC_DEGREE_CAP", DEFAULT_DEGREE_CAP)
 
 
 def step_budget() -> int:
-    return int(os.environ.get("GERMCALC_STEP_BUDGET", DEFAULT_STEP_BUDGET))
+    return _env_int("GERMCALC_STEP_BUDGET", DEFAULT_STEP_BUDGET)
 
 
 class _Budget:
@@ -89,10 +86,6 @@ class Vector:
     @classmethod
     def ideal(cls, p: Polynomial) -> "Vector":
         return cls((p,))
-
-    @classmethod
-    def unit(cls, ring: GermRing, rank: int, i: int) -> "Vector":
-        return cls(tuple(ring.one if j == i else ring.zero for j in range(rank)))
 
     @property
     def rank(self) -> int:
@@ -139,30 +132,22 @@ class Vector:
     def mul_poly(self, q: Polynomial) -> "Vector":
         return Vector(tuple(p * q for p in self.components))
 
-    def normalizing_scale(self):
-        """Constant making the vector monic over F_p, or of integer content 1
-        with positive leading coefficient over Q."""
-        ring = self.ring
-        F = ring.field
+    def normalized(self) -> "Vector":
+        """Scale by a constant: monic over F_p, integer content 1 and positive
+        leading coefficient over Q."""
+        if self.is_zero:
+            return self
+        F = self.ring.field
+        _, _, lc = self.lead()
         if F.p is not None:
-            _, _, c = self.lead()
-            return F.inv(c)
-        from math import gcd
+            return self.scale(F.inv(lc))
         num = 0
         den = 1
         for p in self.components:
             for _, c in p.terms:
                 num = gcd(num, c.numerator)
                 den = den * c.denominator // gcd(den, c.denominator)
-        _, _, lc = self.lead()
-        return F.from_fraction(den, num) if lc > 0 else F.from_fraction(-den, num)
-
-    def normalized(self) -> "Vector":
-        """Scale by a constant: monic over F_p, integer content 1 and positive
-        leading coefficient over Q."""
-        if self.is_zero:
-            return self
-        return self.scale(self.normalizing_scale())
+        return self.scale(F.from_fraction(den if lc > 0 else -den, num))
 
     def __eq__(self, other):
         return isinstance(other, Vector) and self.components == other.components
@@ -183,16 +168,6 @@ def _lead_reducible_by(h_lead, g_lead):
     return mono_div(mi, mj)
 
 
-def _reduce_step(h: Vector, g: Vector) -> Vector:
-    """Cancel the leading term of h against g."""
-    ch, mh, ah = h.lead()
-    cg, mg, ag = g.lead()
-    assert ch == cg
-    q = mono_div(mh, mg)
-    F = h.ring.field
-    return h - g.mul_term(q, F.div(ah, ag))
-
-
 def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
                      budget: _Budget | None = None) -> Vector:
     """Mora's weak normal form with minimal-ecart reducer selection.
@@ -202,6 +177,7 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
     """
     if cap is None:
         cap = degree_cap()
+    F = v.ring.field
     h = v
     T = [(g, g.lead(), g.ecart()) for g in basis if not g.is_zero]
     while not h.is_zero:
@@ -211,12 +187,13 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
         if not candidates:
             break
         _, idx = min(candidates)
-        g, _, eg = T[idx]
+        g, (_, mg, ag), eg = T[idx]
         if eg > h.ecart():
             T.append((h, h_lead, h.ecart()))
         if budget is not None:
             budget.spend()
-        h = _reduce_step(h, g)
+        _, mh, ah = h_lead
+        h = h - g.mul_term(mono_div(mh, mg), F.div(ah, ag))
         if not h.is_zero:
             # content renormalization keeps rational coefficients small
             h = h.normalized()
@@ -229,51 +206,20 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
 def mora_divide(v: Vector, basis: list[Vector], cap: int | None = None):
     """Weak normal form with cofactor tracking.
 
-    Returns (r, u, q) with u*v = sum(q_i * basis_i) + r and u a unit.
+    Returns (r, u, q) with u*v = sum(q_i * basis_i) + r and u a unit: the
+    normal form of (v | e_0) against the (basis_i | e_{i+1}) is
+    (r | u, -q_1, ..., -q_s).
     """
-    if cap is None:
-        cap = degree_cap()
-    ring = v.ring
-    nb = len(basis)
-    zero_q = tuple(ring.zero for _ in range(nb))
-    # each reducer carries a representation t = a*v - sum(c_i * basis_i)
-    T = []
-    for i, g in enumerate(basis):
-        if g.is_zero:
-            continue
-        c = list(zero_q)
-        c[i] = -ring.one
-        T.append((g, g.lead(), g.ecart(), ring.zero, tuple(c)))
-    h, ah, ch = v, ring.one, zero_q
-    while not h.is_zero:
-        h_lead = h.lead()
-        candidates = [(e, i) for i, (g, gl, e, _, _) in enumerate(T)
-                      if _lead_reducible_by(h_lead, gl) is not None]
-        if not candidates:
-            break
-        _, idx = min(candidates)
-        g, gl, eg, ag, cg = T[idx]
-        if eg > h.ecart():
-            T.append((h, h_lead, h.ecart(), ah, ch))
-        _, mh, coh = h_lead
-        _, mg, cog = gl
-        F = ring.field
-        qm = mono_div(mh, mg)
-        qc = F.div(coh, cog)
-        factor = ring.monomial(qm, 1).scale(qc)
-        h = h - g.mul_term(qm, qc)
-        ah = ah - factor * ag
-        ch = tuple(c - factor * c2 for c, c2 in zip(ch, cg))
-        if not h.is_zero:
-            s = h.normalizing_scale()
-            h, ah = h.scale(s), ah.scale(s)
-            ch = tuple(c.scale(s) for c in ch)
-            if mono_deg(h.lead()[1]) > cap:
-                raise DegreeCapExceeded(
-                    f"leading degree exceeded safety cap {cap}; set GERMCALC_DEGREE_CAP to raise")
-    if not ah.is_unit:
+    ring, s = v.ring, len(basis)
+    e = [tuple(ring.one if j == i else ring.zero for j in range(s + 1))
+         for i in range(s + 1)]
+    h = mora_normal_form(Vector(v.components + e[0]),
+                         [Vector(g.components + e[i + 1]) for i, g in enumerate(basis)],
+                         cap=cap)
+    r, u, q = h.components[:v.rank], h.components[v.rank], h.components[v.rank + 1:]
+    if not u.is_unit:
         raise AssertionError("Mora division produced a non-unit cofactor")
-    return h, ah, ch
+    return Vector(r), u, tuple(-c for c in q)
 
 
 class StandardBasis:
@@ -376,6 +322,25 @@ def ideal_basis(polys: list[Polynomial], cap: int | None = None) -> StandardBasi
     return standard_basis([Vector.ideal(p) for p in polys], cap=cap)
 
 
+def ideal_colength(polys: list[Polynomial]):
+    """Colength of the ideal the polynomials generate; INFINITE for the zero ideal."""
+    gens = [p for p in polys if not p.is_zero]
+    return colength(ideal_basis(gens)) if gens else INFINITE
+
+
+def staircase(leads: list[tuple], n: int):
+    """Monomials in n variables outside the monomial ideal of leads, or
+    INFINITE when some variable has no pure power among them."""
+    bounds = []
+    for i in range(n):
+        pure = [m[i] for m in leads if all(m[j] == 0 for j in range(n) if j != i)]
+        if not pure:
+            return INFINITE
+        bounds.append(min(pure))
+    return [mono for mono in itertools.product(*(range(b) for b in bounds))
+            if not any(mono_div(mono, m) is not None for m in leads)]
+
+
 def colength(basis: StandardBasis):
     """Number of standard monomials outside the leading module, or INFINITE.
 
@@ -385,27 +350,16 @@ def colength(basis: StandardBasis):
     ring = basis.ring
     if not ring.order.is_local:
         raise ValueError("colength requires a local ordering")
-    n = ring.nvars
-    by_comp = {c: [] for c in range(basis.rank)}
+    by_comp = [[] for _ in range(basis.rank)]
     for c, m in basis.leading_module():
         by_comp[c].append(m)
     total = 0
-    for c in range(basis.rank):
-        leads = by_comp[c]
-        bounds = []
-        for i in range(n):
-            pure = [m[i] for m in leads if all(m[j] == 0 for j in range(n) if j != i)]
-            if not pure:
-                return INFINITE
-            bounds.append(min(pure))
-        for mono in itertools.product(*(range(b) for b in bounds)):
-            if not any(mono_div(mono, m) is not None for m in leads):
-                total += 1
+    for leads in by_comp:
+        monos = staircase(leads, ring.nvars)
+        if monos is INFINITE:
+            return INFINITE
+        total += len(monos)
     return total
-
-
-def is_member(v: Vector, basis: StandardBasis) -> bool:
-    return basis.contains(v)
 
 
 # ---------------------------------------------------------------------------
@@ -424,32 +378,6 @@ def _monomials_below(n: int, d: int):
 
     rec([], n, d - 1)
     return out
-
-
-def _row_rank(rows, field):
-    """Rank by Gaussian elimination over the coefficient field."""
-    rows = [list(r) for r in rows if any(c != field.zero for c in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != field.zero), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pinv = field.inv(prow[col])
-        for i in range(rank + 1, len(rows)):
-            r = rows[i]
-            if r[col] != field.zero:
-                factor = field.mul(r[col], pinv)
-                for j in range(col, ncols):
-                    r[j] = field.sub(r[j], field.mul(factor, prow[j]))
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def _truncated_quotient_dim(gens: list[Polynomial], D: int) -> int:
@@ -475,8 +403,8 @@ def _truncated_quotient_dim(gens: list[Polynomial], D: int) -> int:
                     hit = True
             if hit:
                 rows.append(row)
-    rank = _row_rank(rows, field) if rows else 0
-    return len(monos) - rank
+    from .modops import matrix_rank  # modops imports this module
+    return len(monos) - matrix_rank(rows, field)
 
 
 def oracle_colength(gens: list[Polynomial], truncation: int | None = None):

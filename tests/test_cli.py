@@ -59,6 +59,13 @@ def test_parse_germfile_errors():
     assert "line 2" in str(err.value)
     with pytest.raises(GermfileError):
         parse_germfile("ring Q x\nX: x\nbogus line\n")
+    for text, line in (("ring Q x x\nX: x\n", 1),
+                       ("ring Q x\nX: x, x^2\n", 2),
+                       ("ring Q x y\nX: x\nX: y\n", 3),
+                       ("ring Q x y\nX: x\nf: y\nf: x\n", 4)):
+        with pytest.raises(GermfileError) as err:
+            parse_germfile(text)
+        assert err.value.line == line
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +109,15 @@ def test_compute_not_icis(tmp_path, capsys):
     code, _, err = run(capsys, "compute", str(p))
     assert code == 2
     assert "not an ICIS" in err
+
+
+@pytest.mark.parametrize("name", ["GERMCALC_DEGREE_CAP", "GERMCALC_STEP_BUDGET"])
+def test_bad_environment_value(name, worked_path, capsys, monkeypatch):
+    monkeypatch.setenv(name, "ten")
+    code, out, err = run(capsys, "compute", worked_path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and name in err
 
 
 def test_compute_missing_file(capsys):
@@ -243,3 +259,13 @@ def test_corpus_runner(tmp_path, capsys):
 def test_corpus_empty_dir(tmp_path, capsys):
     code, _, err = run(capsys, "corpus", str(tmp_path))
     assert code == 2
+
+
+def test_corpus_bad_germfile_is_an_error_item(tmp_path, capsys):
+    (tmp_path / "a.germ").write_text("ring Q x y\nX: x^3+y^2\nf: y\n")
+    (tmp_path / "b.germ").write_text("ring Q x x\nX: x\n")
+    code, out, _ = run(capsys, "corpus", str(tmp_path), "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert [i["verdict"] for i in doc["items"]] == ["PASS", "ERROR"]
+    assert doc["items"][1]["error"].startswith("line 1:")

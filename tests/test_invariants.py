@@ -8,7 +8,7 @@ import pytest
 from germcalc import (ICIS, INFINITE, GermRing, Vector, br_codim2_formula, br_direct,
                       br_minus_direct, br_minus_formula, br_tor_formula, colength,
                       conjecture_scan, df_image, ideal_basis, is_icis,
-                      is_member, jacobian_ideal, lc_ideals, milnor_icis,
+                      jacobian_ideal, lc_ideals, milnor_icis,
                       milnor_number, polar_and_euler, render, section_milnor,
                       standard_basis, tau_via_theta_quotient, theta_x,
                       theta_x_trivial, tjurina, tor1_dimension,
@@ -81,7 +81,7 @@ def test_theta_fields_are_tangent(fourlines, R3):
         for phi in fourlines.phi:
             img = sum((v.components[i] * phi.derivative(i)
                        for i in range(3)), R3.zero)
-            assert is_member(Vector.ideal(img), I)
+            assert I.contains(Vector.ideal(img))
 
 
 def test_euler_field_present(fourlines, R3):
@@ -99,8 +99,8 @@ def test_df_image_double_inclusion(fourlines, R3):
     rhs += [phi * f.derivative(i) for phi in fourlines.phi for i in range(3)]
     rhs = [p for p in rhs if not p.is_zero]
     sb_l, sb_r = ideal_basis(lhs), ideal_basis(rhs)
-    assert all(is_member(Vector.ideal(p), sb_r) for p in lhs)
-    assert all(is_member(Vector.ideal(p), sb_l) for p in rhs)
+    assert all(sb_r.contains(Vector.ideal(p)) for p in lhs)
+    assert all(sb_l.contains(Vector.ideal(p)) for p in rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 """Jacobian minors, syzygies, intersection and quotient of ideals,
 subquotient colength, and Koszul homology."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from germcalc import (INFINITE, ArtinianAlgebra, Field, GermRing,
                       InternalError, PolyMatrix, Subquotient, Vector,
                       colength, determinant, ideal_basis, ideal_product,
-                      intersect, is_member, jacobian_matrix, koszul_tor,
-                      matrix_rank, maximal_minors, quotient_ideal, syzygies)
+                      intersect, jacobian_matrix, koszul_tor,
+                      matrix_rank, maximal_minors, quotient_ideal, staircase,
+                      syzygies)
 
 
 def contains_same_ideal(I, J):
     """Double inclusion of ideals given by generator lists."""
     sbI = ideal_basis(I)
     sbJ = ideal_basis(J)
-    return (all(is_member(Vector.ideal(g), sbI) for g in J)
-            and all(is_member(Vector.ideal(g), sbJ) for g in I))
+    return (all(sbI.contains(Vector.ideal(g)) for g in J)
+            and all(sbJ.contains(Vector.ideal(g)) for g in I))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +46,7 @@ def test_maximal_minors(R3):
                             R3.parse("2*x*z")])
     assert len(minors) == 3
     for m in minors:
-        assert is_member(Vector.ideal(m), expected)
+        assert expected.contains(Vector.ideal(m))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,57 @@ def test_matrix_rank_mod_p():
     assert matrix_rank(rows, F) == 1
 
 
+def _det(M, F):
+    if len(M) == 1:
+        return M[0][0]
+    acc = F.zero
+    for j, c in enumerate(M[0]):
+        term = F.mul(c, _det([r[:j] + r[j + 1:] for r in M[1:]], F))
+        acc = F.add(acc, term) if j % 2 == 0 else F.sub(acc, term)
+    return acc
+
+
+def _brute_rank(rows, F):
+    """Size of the largest nonzero minor."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                if _det([[rows[i][j] for j in cs] for i in rs], F) != F.zero:
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "deficient"])
+def test_matrix_rank_against_largest_minor(p, kind):
+    F = Field(p)
+    rng = random.Random(f"{p}-{kind}")
+
+    def entry():
+        if kind == "sparse" and rng.random() < 0.7:
+            return F.zero
+        c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        return F.from_fraction(c.numerator, c.denominator)
+
+    for _ in range(12):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        if kind == "deficient":
+            r = rng.randint(0, min(m, n) - 1)
+            A = [[entry() for _ in range(r)] for _ in range(m)]
+            B = [[entry() for _ in range(n)] for _ in range(r)]
+            rows = [[sum((F.mul(A[i][t], B[t][j]) for t in range(r)), F.zero)
+                     if p is None else
+                     sum(F.mul(A[i][t], B[t][j]) for t in range(r)) % p
+                     for j in range(n)] for i in range(m)]
+        else:
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+        before = [list(r) for r in rows]
+        assert matrix_rank(rows, F) == _brute_rank(rows, F)
+        assert rows == before
+    assert matrix_rank([], F) == 0
+
+
 # ---------------------------------------------------------------------------
 # Artinian algebras and Koszul homology
 
@@ -154,6 +210,13 @@ def test_artinian_algebra_tables_commute(R2):
     A = ArtinianAlgebra([R2.parse("x^2"), R2.parse("y^3")])
     assert A.dim == 6
     assert A.tables_commute()
+
+
+def test_artinian_basis_is_the_sorted_staircase(R2):
+    A = ArtinianAlgebra([R2.parse("x^2+y^3"), R2.parse("x*y")])
+    leads = [g.lead()[1] for g in A.sb.generators]
+    assert A.basis == sorted(staircase(leads, 2), key=R2.mono_key, reverse=True)
+    assert A.dim == colength(A.sb) == 5
 
 
 def test_koszul_tor_transverse_squares(R2):

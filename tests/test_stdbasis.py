@@ -1,6 +1,9 @@
 """Mora normal form, standard bases, colength, membership, and the
 independent truncated-linear-algebra oracle."""
 
+import copy
+import json
+import pickle
 import random
 
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germcalc import (INCONCLUSIVE, INFINITE, DegreeCapExceeded, GermRing,
-                      Vector, colength, ideal_basis, is_member, mora_divide,
-                      mora_normal_form, oracle_colength, standard_basis)
+                      Vector, colength, ideal_basis, mora_divide,
+                      mora_normal_form, oracle_colength, staircase,
+                      standard_basis)
+from germcalc.cli import jsonable
 from germcalc.invariants import random_linear_images
 
 
@@ -85,14 +90,37 @@ def test_degree_cap(monkeypatch, R2):
         mora_normal_form(vec(R2.parse("x")), [vec(R2.parse("x-x^5"))])
 
 
+def test_staircase_and_module_colength_with_empty_component(R2):
+    x, y = R2.gens()
+    assert staircase([], 2) is INFINITE
+    assert staircase([(2, 0)], 2) is INFINITE
+    assert sorted(staircase([(2, 0), (1, 1), (0, 2)], 2)) == [(0, 0), (0, 1), (1, 0)]
+    # component 1 has no leading terms, so the quotient O^2/M is infinite
+    gens = [Vector((x * x, R2.zero)), Vector((y, R2.zero))]
+    sb = standard_basis(gens)
+    assert sb.rank == 2 and colength(sb) is INFINITE
+    sb = standard_basis(gens + [Vector((R2.zero, x)), Vector((R2.zero, y))])
+    assert colength(sb) == 3
+
+
+def test_sentinels_survive_pickle_and_copy():
+    for s, text, encoded in ((INFINITE, "INFINITE", "infinite"),
+                             (INCONCLUSIVE, "INCONCLUSIVE", "inconclusive")):
+        assert pickle.loads(pickle.dumps(s)) is s
+        assert copy.deepcopy(s) is s and copy.copy(s) is s
+        assert str(s) == repr(s) == f"{s}" == text
+        assert json.dumps(jsonable(s)) == f'"{encoded}"'
+    assert INFINITE is not INCONCLUSIVE and INFINITE != INCONCLUSIVE
+
+
 # ---------------------------------------------------------------------------
 # membership
 
 def test_membership(R2):
     sb = ideal_basis([R2.parse("x-x^2"), R2.parse("y")])
-    assert is_member(vec(R2.parse("x")), sb)
-    assert is_member(vec(R2.parse("x+y^5")), sb)
-    assert not is_member(vec(R2.one), sb)
+    assert sb.contains(vec(R2.parse("x")))
+    assert sb.contains(vec(R2.parse("x+y^5")))
+    assert not sb.contains(vec(R2.one))
 
 
 # ---------------------------------------------------------------------------
