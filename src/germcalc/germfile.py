@@ -58,6 +58,9 @@ def parse_germfile(text: str, name: str = "") -> Germfile:
                     for chunk in line[2:].split(",")]
             if len(phis) > ring.nvars:
                 raise GermfileError("more equations than variables", lineno)
+            for i, phi in enumerate(phis, start=1):
+                if phi.is_unit:
+                    raise GermfileError(f"X: generator {i} is a unit (empty germ)", lineno)
         elif line.startswith("f:"):
             if ring is None:
                 raise GermfileError("f before ring declaration", lineno)

@@ -12,7 +12,8 @@ import itertools
 import os
 from math import gcd
 
-from .ring import GermRing, Polynomial, mono_deg, mono_div, mono_lcm, mono_mul
+from .ring import (GermRing, NegDegRevLex, Polynomial, mono_deg, mono_div,
+                   mono_lcm, mono_mul)
 
 
 class Sentinel(enum.Enum):
@@ -168,17 +169,25 @@ def _lead_reducible_by(h_lead, g_lead):
     return mono_div(mi, mj)
 
 
+def _truncated(v: Vector, corner: int) -> Vector:
+    """v without its terms of degree >= corner."""
+    return Vector(tuple(Polynomial(p.ring, tuple(t for t in p.terms if mono_deg(t[0]) < corner))
+                        for p in v.components))
+
+
 def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
-                     budget: _Budget | None = None) -> Vector:
+                     budget: _Budget | None = None, corner: int | None = None) -> Vector:
     """Mora's weak normal form with minimal-ecart reducer selection.
 
     Returns r with u*v = (combination of basis) + r for some unit u of the
-    local ring; r is 0 exactly when v lies in the localized submodule.
+    local ring; r is 0 exactly when v lies in the localized submodule.  A
+    corner D asserts m^D * O^r inside the submodule: terms of degree >= D are
+    then dropped after every reduction step.
     """
     if cap is None:
         cap = degree_cap()
     F = v.ring.field
-    h = v
+    h = v if corner is None else _truncated(v, corner)
     T = [(g, g.lead(), g.ecart()) for g in basis if not g.is_zero]
     while not h.is_zero:
         h_lead = h.lead()
@@ -194,6 +203,8 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
             budget.spend()
         _, mh, ah = h_lead
         h = h - g.mul_term(mono_div(mh, mg), F.div(ah, ag))
+        if corner is not None:
+            h = _truncated(h, corner)
         if not h.is_zero:
             # content renormalization keeps rational coefficients small
             h = h.normalized()
@@ -223,11 +234,16 @@ def mora_divide(v: Vector, basis: list[Vector], cap: int | None = None):
 
 
 class StandardBasis:
-    """Mora-computed standard basis of a submodule, with its leading structure."""
+    """Mora-computed standard basis of a submodule, with its leading structure.
 
-    def __init__(self, generators: list[Vector], rank: int):
+    corner is a degree D with m^D inside the submodule, or None when none is
+    known; the generators may then lack their terms of degree >= D.
+    """
+
+    def __init__(self, generators: list[Vector], rank: int, corner: int | None = None):
         self.generators = list(generators)
         self.rank = rank
+        self.corner = corner
 
     @property
     def ring(self) -> GermRing:
@@ -237,7 +253,7 @@ class StandardBasis:
         return [(g.lead()[0], g.lead()[1]) for g in self.generators]
 
     def normal_form(self, v: Vector) -> Vector:
-        return mora_normal_form(v, self.generators)
+        return mora_normal_form(v, self.generators, corner=self.corner)
 
     def contains(self, v: Vector) -> bool:
         if v.is_zero:
@@ -261,6 +277,17 @@ def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
 
     Deterministic: normal pair selection (minimal lcm under the ordering),
     ties broken by generator index.
+
+    Ideals in the local degree ordering stop at a certified corner D, a
+    degree with m^D inside I (Singular's noether; Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 1.7): every term of degree >= D is
+    dropped.  _mora finds D from the leading ideal.  When a normal form first
+    climbs to the watched degree W (one more than the top input degree)
+    before that, the basis of I + m^W is computed cut at W instead.  If its
+    staircase stops below degree W - 1, each monomial of degree D = top + 1
+    is the lead of an element of I itself, so m^D lies in I by the argument
+    of _mora, and that basis is a standard basis of I.  Otherwise W doubles,
+    and past the degree cap the plain algorithm runs.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -273,7 +300,55 @@ def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
         cap = degree_cap()
 
     G = [g.normalized() for g in gens]
+    if rank > 1 or not isinstance(ring.order, NegDegRevLex):
+        return _mora(G, rank, cap)
+    watch = 1 + max(g.max_degree() for g in G)
+    sb = _mora(G, rank, cap, watch=watch)
+    while sb is None and watch <= cap:
+        sb = _mora(G, rank, cap, corner=watch)
+        corner = _corner([m for _, m in sb.leading_module()], ring.nvars, watch)
+        if corner < watch:
+            sb.corner = corner
+        else:
+            sb, watch = None, 2 * watch
+    return sb if sb is not None else _mora(G, rank, cap)
+
+
+def _corner(leads: list[tuple], n: int, bound: int | None = None):
+    """One more than the top degree of the staircase of leads, with m^bound
+    adjoined when bound is given; None when the staircase is infinite."""
+    if bound is not None:
+        leads = leads + [tuple(bound if j == i else 0 for j in range(n)) for i in range(n)]
+    monos = staircase(leads, n)
+    if monos is INFINITE:
+        return None
+    return 1 + max((mono_deg(m) for m in monos if bound is None or mono_deg(m) < bound),
+                   default=-1)
+
+
+def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
+          watch: int | None = None) -> StandardBasis | None:
+    """Mora's algorithm from normalized generators.
+
+    For an ideal in the local degree ordering, once the leads hold a pure
+    power of every variable, each monomial of degree D = 1 + (top staircase
+    degree) is the lead of an element of I.  In a local degree ordering those
+    elements are triangular modulo m^(D + 1), so Nakayama gives m^D inside I
+    and D becomes the corner.  A corner passed in asserts m^corner inside the
+    ideal.  Returns None when, with no corner known, a normal form reaches
+    the leading degree watch.
+    """
+    ring = G[0].ring
+    G = list(G)
     budget = _Budget(step_budget())
+    local_ideal = rank == 1 and isinstance(ring.order, NegDegRevLex)
+
+    def tighten(corner):
+        D = _corner([g.lead()[1] for g in G], ring.nvars)
+        return D if D is not None and (corner is None or D < corner) else corner
+
+    if local_ideal:
+        corner = tighten(corner)
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
              if G[i].lead()[0] == G[j].lead()[0]}
 
@@ -289,9 +364,19 @@ def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
         pairs.discard((i, j))
         _, mi, _ = G[i].lead()
         _, mj, _ = G[j].lead()
-        if rank == 1 and mono_lcm(mi, mj) == mono_mul(mi, mj):
+        L = mono_lcm(mi, mj)
+        if rank == 1 and L == mono_mul(mi, mj):
             continue  # product criterion (ideal case only)
-        h = mora_normal_form(_spair(G[i], G[j]), G, cap=cap, budget=budget)
+        if corner is not None and mono_deg(L) >= corner:
+            continue  # the S-polynomial lies in m^corner
+        watching = corner is None and watch is not None and watch <= cap
+        try:
+            h = mora_normal_form(_spair(G[i], G[j]), G, cap=watch - 1 if watching else cap,
+                                 budget=budget, corner=corner)
+        except DegreeCapExceeded:
+            if watching and budget.remaining >= 0:
+                return None
+            raise
         if h.is_zero:
             continue
         h = h.normalized()
@@ -300,6 +385,8 @@ def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
         for i2 in range(k):
             if G[i2].lead()[0] == h.lead()[0]:
                 pairs.add((i2, k))
+        if local_ideal and sum(1 for e in h.lead()[1] if e) <= 1:
+            corner = tighten(corner)
 
     # minimalize: drop generators whose lead term another one divides
     keep = []
@@ -315,7 +402,7 @@ def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
                 break
         if not redundant:
             keep.append(g)
-    return StandardBasis(keep, rank)
+    return StandardBasis(keep, rank, corner)
 
 
 def ideal_basis(polys: list[Polynomial], cap: int | None = None) -> StandardBasis:

@@ -62,7 +62,8 @@ def test_parse_germfile_errors():
     for text, line in (("ring Q x x\nX: x\n", 1),
                        ("ring Q x\nX: x, x^2\n", 2),
                        ("ring Q x y\nX: x\nX: y\n", 3),
-                       ("ring Q x y\nX: x\nf: y\nf: x\n", 4)):
+                       ("ring Q x y\nX: x\nf: y\nf: x\n", 4),
+                       ("ring Q x y\n\nX: x, 1+x\n", 3)):
         with pytest.raises(GermfileError) as err:
             parse_germfile(text)
         assert err.value.line == line
@@ -118,6 +119,15 @@ def test_bad_environment_value(name, worked_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and name in err
+
+
+def test_compute_unit_generator_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "empty.germ"
+    p.write_text("ring Q x y\nX: 1+x\n")
+    code, out, err = run(capsys, "compute", str(p), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "line 2" in err and "unit" in err
 
 
 def test_compute_missing_file(capsys):

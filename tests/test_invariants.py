@@ -214,6 +214,17 @@ def test_conjecture_scan_codim3_euler():
     assert scan["euler_all_zero"]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_conjecture_scan_maxdeg3_completes(seed):
+    # cubic trials used to abort at the degree cap; the certified corner
+    # keeps every standard basis below it
+    scan = conjecture_scan(3, 2, 10, 3, seed)
+    assert scan["completed"] == 10
+    assert scan["euler_all_zero"]
+    for row in scan["rows"]:
+        assert row["tor"][1] == 2 * row["colength_sum"]
+
+
 def test_scan_deterministic():
     a = conjecture_scan(n=2, k=2, trials=3, maxdeg=2, seed=9)
     b = conjecture_scan(n=2, k=2, trials=3, maxdeg=2, seed=9)

@@ -3,6 +3,7 @@ independent truncated-linear-algebra oracle."""
 
 import copy
 import json
+import os
 import pickle
 import random
 
@@ -10,12 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germcalc import (INCONCLUSIVE, INFINITE, DegreeCapExceeded, GermRing,
-                      Vector, colength, ideal_basis, mora_divide,
-                      mora_normal_form, oracle_colength, staircase,
-                      standard_basis)
+from germcalc import (INCONCLUSIVE, INFINITE, DegreeCapExceeded, Field,
+                      GermRing, Vector, colength, ideal_basis, jacobian_matrix,
+                      maximal_minors, mora_divide, mora_normal_form,
+                      oracle_colength, staircase, standard_basis)
 from germcalc.cli import jsonable
-from germcalc.invariants import random_linear_images
+from germcalc.germfile import load_germfile
+from germcalc.invariants import (_random_mix, _random_poly,
+                                 random_linear_images)
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
 def vec(p):
@@ -111,6 +116,56 @@ def test_sentinels_survive_pickle_and_copy():
         assert str(s) == repr(s) == f"{s}" == text
         assert json.dumps(jsonable(s)) == f'"{encoded}"'
     assert INFINITE is not INCONCLUSIVE and INFINITE != INCONCLUSIVE
+
+
+# ---------------------------------------------------------------------------
+# certified corner
+
+def test_corner_only_for_finite_colength(R2):
+    for gens in (["x*y"], ["x"]):
+        sb = ideal_basis([R2.parse(s) for s in gens])
+        assert colength(sb) is INFINITE and sb.corner is None
+    # staircase {1, x, y, y^2, y^3}: m^4 lies in the ideal
+    sb = ideal_basis([R2.parse("x^2+y^3"), R2.parse("x*y")])
+    assert colength(sb) == 5 and sb.corner == 4
+    assert sb.contains(vec(R2.parse("y^4+x^40")))
+    assert not sb.contains(vec(R2.parse("y^3+x^40")))
+    # <x, y^3> locally; an S-pair one degree below the corner still counts
+    gens = ["x+x^3+x^2*y^3", "x+x*y^2+x^2*y^2", "x^2*y+y^3"]
+    assert colength(ideal_basis([R2.parse(s) for s in gens])) == 3
+
+
+def test_capped_chain_step_from_moved_nonwh_space():
+    # the chain step of the coordinate-changed nonwh_space germ whose plain
+    # Mora run climbs past the degree cap before any pure z-power appears
+    gf = load_germfile(os.path.join(CORPUS, "nonwh_space.germ"))
+    images = random_linear_images(gf.ring, random.Random(17))
+    phis = [p.substitute(images) for p in gf.X.phi]
+    mix = _random_mix(phis, random.Random(0))
+    gens = [mix[0]] + maximal_minors(jacobian_matrix(mix), 2)
+    sb = ideal_basis(gens)
+    assert colength(sb) == oracle_colength(gens) == 11
+    assert all(sb.contains(vec(g)) for g in gens)
+    stairs = staircase([m for _, m in sb.leading_module()], 3)
+    assert not any(sb.contains(vec(gf.ring.monomial(m))) for m in stairs)
+
+
+def test_corner_bases_agree_with_the_oracle():
+    rng = random.Random(2024)
+    for trial in range(120):
+        n = 2 + trial % 2
+        R = GermRing(("x", "y", "z")[:n], Field(32003))
+        gens = [_random_poly(R, 2 + trial // 2 % 2, rng)
+                for _ in range(n + rng.randrange(2))]
+        sb = ideal_basis(gens)
+        assert colength(sb) == oracle_colength(gens), (trial, gens)
+        combo = sum((g * (R.constant(rng.randrange(1, 32003)) + _random_poly(R, 2, rng))
+                     for g in gens), R.zero)
+        assert sb.contains(vec(combo)), (trial, gens)
+        stairs = staircase([m for _, m in sb.leading_module()], n)
+        if stairs is not INFINITE and stairs:
+            top = R.monomial(max(stairs, key=sum))
+            assert not sb.contains(vec(combo + top)), (trial, gens)
 
 
 # ---------------------------------------------------------------------------
