@@ -14,11 +14,9 @@ from .modops import (ArtinianAlgebra, InternalError, PolyMatrix, Subquotient,
                      determinant, ideal_product, intersect, jacobian_matrix,
                      koszul_tor, maximal_minors, matrix_rank, quotient_ideal,
                      syzygies)
-from .invariants import (ICIS, ChainDegenerate, LCBundle, br_codim2_formula,
-                         br_direct, br_minus_direct, br_minus_formula,
-                         br_tor_formula, conjecture_scan, df_image, is_icis,
+from .invariants import (ICIS, ChainDegenerate, Germ, LCBundle,
+                         br_minus_formula, conjecture_scan, df_image, is_icis,
                          jacobian_ideal, lc_ideals, milnor_chain, milnor_icis,
-                         milnor_number, polar_and_euler, section_milnor,
-                         tau_via_theta_quotient, theta_x, theta_x_trivial,
-                         tjurina, tor1_dimension, verify_relative_identity)
+                         milnor_number, section_milnor, theta_x,
+                         theta_x_trivial, tjurina, tor1_dimension)
 from .germfile import Germfile, GermfileError, load_germfile, parse_germfile

@@ -10,28 +10,8 @@ import time
 
 from . import __version__
 from .germfile import Germfile, GermfileError, load_germfile
-from .invariants import (
-    ChainDegenerate,
-    br_codim2_formula,
-    br_direct,
-    br_minus_direct,
-    br_minus_formula,
-    br_tor_formula,
-    conjecture_scan,
-    df_image,
-    is_icis,
-    jacobian_ideal,
-    lc_ideals,
-    milnor_icis,
-    milnor_number,
-    section_milnor,
-    tau_via_theta_quotient,
-    theta_x,
-    theta_x_trivial,
-    tjurina,
-    tor1_dimension,
-    verify_relative_identity,
-)
+from .invariants import (ChainDegenerate, Germ, conjecture_scan, df_image,
+                         lc_ideals)
 from .modops import InternalError
 from .ring import ParseError, render
 from .stdbasis import (INFINITE, DegreeCapExceeded, Sentinel, degree_cap,
@@ -106,8 +86,8 @@ def base_report(command: str) -> dict:
     return {"schema": SCHEMA_VERSION, "engine": __version__, "command": command}
 
 
-def require_icis(gf: Germfile):
-    ok, certificate = is_icis(gf.X)
+def require_icis(germ: Germ):
+    ok, certificate = germ.icis
     if not ok:
         cert = {k: jsonable(v) for k, v in certificate.items()}
         raise InputError(f"not an ICIS: {json.dumps(cert, sort_keys=True)}")
@@ -116,63 +96,52 @@ def require_icis(gf: Germfile):
 # ---------------------------------------------------------------------------
 # compute
 
-DIRECT_ONLY = ("muX", "tauX", "muF", "muSection", "tor1")
-ROUTED = ("brMinus", "br")
-ALL_INVARIANTS = DIRECT_ONLY + ROUTED
+# invariant -> {route: Germ attribute}.  A one-route invariant runs under every
+# --method and reports no routes; codim2 is a formula route for k = 2 only.
+INVARIANTS = {
+    "muX": {"direct": "mu_X"},
+    "tauX": {"direct": "tau_X"},
+    "muF": {"direct": "mu_f"},
+    "muSection": {"direct": "mu_section"},
+    "tor1": {"direct": "tor1"},
+    "brMinus": {"direct": "br_minus_direct", "formula": "br_minus_formula"},
+    "br": {"direct": "br_direct", "formula": "br_tor", "codim2": "br_codim2"},
+}
+ALL_INVARIANTS = tuple(INVARIANTS)
+WITHOUT_F = ("muX", "tauX")
+
+
+def _runs(route: str, method: str, k: int) -> bool:
+    if route == "direct":
+        return method != "formula"
+    return method != "direct" and (route == "formula" or k == 2)
 
 
 def compute_report(gf: Germfile, names: list[str], method: str) -> dict:
-    require_icis(gf)
-    X, f = gf.X, gf.f
-    needs_f = {"muF", "muSection", "brMinus", "br", "tor1"}
-    report = base_report("compute")
+    germ = Germ(gf.X, gf.f)
+    require_icis(germ)
     values: dict = {}
     routes: dict = {}
-    mismatches = []
-    theta = None
     for name in names:
-        if name in needs_f and f is None:
-            raise InputError(f"invariant {name} needs an f: line in the germfile")
-        if name in ("brMinus", "br") and theta is None:
-            theta = theta_x(X)
-        if name == "muX":
-            values[name] = milnor_icis(X)
-        elif name == "tauX":
-            values[name] = tjurina(X)
-        elif name == "muF":
-            values[name] = milnor_number(f)
-        elif name == "muSection":
-            values[name] = section_milnor(f, X)
-        elif name == "tor1":
-            values[name] = tor1_dimension(list(X.phi), jacobian_ideal(f))
-        elif name == "brMinus":
-            by_route = {}
-            if method in ("direct", "both"):
-                by_route["direct"] = br_minus_direct(f, X, theta)
-            if method in ("formula", "both"):
-                by_route["formula"] = br_minus_formula(f, X)
-            routes[name] = by_route
-        elif name == "br":
-            by_route = {}
-            if method in ("direct", "both"):
-                by_route["direct"] = br_direct(f, X, theta)
-            if method in ("formula", "both"):
-                by_route["formula"] = br_tor_formula(f, X)
-                if X.k == 2:
-                    by_route["codim2"] = br_codim2_formula(f, X)
-            routes[name] = by_route
-        else:
+        if name not in INVARIANTS:
             raise InputError(f"unknown invariant {name!r}")
-    for name, by_route in routes.items():
-        vals = set(by_route.values())
-        if len(vals) > 1:
-            mismatches.append(name)
-        values[name] = next(iter(by_route.values()))
+        if name not in WITHOUT_F and gf.f is None:
+            raise InputError(f"invariant {name} needs an f: line in the germfile")
+        by_route = INVARIANTS[name]
+        if len(by_route) == 1:
+            values[name] = getattr(germ, by_route["direct"])
+            continue
+        routes[name] = {route: getattr(germ, attr)
+                        for route, attr in by_route.items()
+                        if _runs(route, method, gf.X.k)}
+        values[name] = next(iter(routes[name].values()))
+    report = base_report("compute")
     report["invariants"] = {k: jsonable(v) for k, v in values.items()}
     report["routes"] = {k: {r: jsonable(v) for r, v in by.items()}
                         for k, by in routes.items()}
     report["method"] = method
-    report["mismatches"] = mismatches
+    report["mismatches"] = [name for name, by_route in routes.items()
+                            if len(set(by_route.values())) > 1]
     return report
 
 
@@ -181,7 +150,7 @@ def cmd_compute(args) -> int:
     names = list(ALL_INVARIANTS) if args.invariants is None else [
         s.strip() for s in args.invariants.split(",") if s.strip()]
     if args.invariants is None and gf.f is None:
-        names = ["muX", "tauX"]
+        names = list(WITHOUT_F)
     start = time.perf_counter()
     report = compute_report(gf, names, args.method)
     report["timing"] = round(time.perf_counter() - start, 6)
@@ -196,9 +165,8 @@ def cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def check_identity(identity: str, gf: Germfile) -> dict:
+def check_identity(identity: str, germ: Germ, options: dict) -> dict:
     """One PASS/FAIL/SKIPPED verdict with both sides of the identity."""
-    X, f = gf.X, gf.f
     entry: dict = {"identity": identity}
 
     def skip(reason):
@@ -211,52 +179,43 @@ def check_identity(identity: str, gf: Germfile) -> dict:
                      else "FAIL")
         return entry
 
+    if identity in ("t22", "t46", "c412", "c49", "p41") and germ.f is None:
+        return skip("needs f")
     if identity == "t22":
-        if f is None:
-            return skip("needs f")
-        res = verify_relative_identity(f, X)
+        res = germ.relative_identity
         return settle(res["lhs"], res["rhs"], ok=res["pass"])
     if identity == "t46":
-        if f is None:
-            return skip("needs f")
-        return settle(br_direct(f, X), br_tor_formula(f, X))
+        return settle(germ.br_direct, germ.br_tor)
     if identity == "c412":
-        if f is None:
-            return skip("needs f")
-        if X.k != 2:
+        if germ.X.k != 2:
             return skip("needs codimension 2")
-        return settle(br_direct(f, X), br_codim2_formula(f, X))
+        return settle(germ.br_direct, germ.br_codim2)
     if identity == "c49":
-        if f is None:
-            return skip("needs f")
-        if X.k != 1:
+        if germ.X.k != 1:
             return skip("needs a hypersurface")
-        Jf = jacobian_ideal(f)
-        return settle(tor1_dimension(list(X.phi), Jf),
-                      ideal_colength(list(X.phi) + Jf))
+        return settle(germ.tor1, germ.mixed)
     if identity == "p47":
-        tau = tjurina(X)
-        first, second = tau_via_theta_quotient(X, f)
-        entry.update(tau=jsonable(tau))
-        return settle(first, second, ok=(first == tau and second == tau))
+        first, second = germ.tau_via_theta_quotient()
+        entry.update(tau=jsonable(germ.tau_X))
+        return settle(first, second, ok=first == second == germ.tau_X)
     if identity == "p41":
-        if f is None:
-            return skip("needs f")
-        full = ideal_colength(df_image(f, theta_x(X)))
-        trivial = ideal_colength(df_image(f, theta_x_trivial(X)))
+        full = germ.br_direct
+        trivial = ideal_colength(df_image(germ.f, germ.theta_trivial))
         return settle("infinite" if full is INFINITE else "finite",
                       "infinite" if trivial is INFINITE else "finite")
     if identity == "cor23":
-        if not gf.options.get("weighted_homogeneous"):
+        if not options.get("weighted_homogeneous"):
             return skip("needs the weighted_homogeneous option")
-        return settle(milnor_icis(X), tjurina(X))
+        return settle(germ.mu_X, germ.tau_X)
     raise InputError(f"unknown identity {identity!r}")
 
 
 def verify_report(gf: Germfile, identities: list[str]) -> dict:
-    require_icis(gf)
+    germ = Germ(gf.X, gf.f)
+    require_icis(germ)
     report = base_report("verify")
-    report["identities"] = [check_identity(name, gf) for name in identities]
+    report["identities"] = [check_identity(name, germ, gf.options)
+                            for name in identities]
     report["verdict"] = ("PASS" if all(e["status"] != "FAIL"
                                        for e in report["identities"])
                          else "FAIL")
@@ -313,7 +272,7 @@ def cmd_conjecture(args) -> int:
 
 def cmd_lc(args) -> int:
     gf = load_germfile(args.file)
-    require_icis(gf)
+    require_icis(Germ(gf.X))
     bundle = lc_ideals(gf.X)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -336,6 +295,9 @@ def cmd_lc(args) -> int:
 def cmd_oracle(args) -> int:
     if args.object != "colength":
         raise InputError(f"unknown oracle {args.object!r}")
+    if args.truncation < 2:
+        # one truncation degree has no second value to stabilize against
+        raise InputError("truncation must be at least 2")
     gf = load_germfile(args.file)
     gens = [g for g in gf.X.phi if not g.is_zero]
     if not gens:
@@ -350,6 +312,10 @@ def cmd_oracle(args) -> int:
     report["agree"] = report["oracle"] == report["engine"]
     report["timing"] = round(time.perf_counter() - start, 6)
     emit(report, args.json)
+    # a stabilized oracle value is exact, so any other engine value is wrong
+    if isinstance(oracle, int) and oracle != engine:
+        print(f"oracle colength {oracle} but engine {engine}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_PASS
 
 

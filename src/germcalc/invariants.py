@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ring import (QQ, BlockOrder, DegRevLex, GermRing, NegDegRevLex,
                    Polynomial, render)
@@ -97,13 +98,13 @@ def _random_mix(phis: list[Polynomial], rng: random.Random) -> list[Polynomial]:
             for i in range(k)]
 
 
-def milnor_chain(phis: list[Polynomial], seed: int = 0, attempts: int = 10):
+def milnor_chain(phis: list[Polynomial]):
     """Milnor number of a complete intersection by the iterated chain,
-    retrying with seeded random generator recombinations when a truncated
+    retrying with nine seeded random generator recombinations when a truncated
     chain degenerates."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     candidates = [list(phis)]
-    candidates += [_random_mix(list(phis), rng) for _ in range(attempts - 1)]
+    candidates += [_random_mix(list(phis), rng) for _ in range(9)]
     for cand in candidates:
         try:
             chain = _chain_colengths(cand)
@@ -119,25 +120,14 @@ def milnor_chain(phis: list[Polynomial], seed: int = 0, attempts: int = 10):
         "no generator combination produced a nondegenerate chain")
 
 
-def milnor_icis(X: ICIS, seed: int = 0):
+def milnor_icis(X: ICIS):
     """Milnor number of the ICIS (0-dimensional convention: colength - 1)."""
-    return milnor_chain(list(X.phi), seed=seed)
+    return milnor_chain(list(X.phi))
 
 
 def is_icis(X: ICIS):
     """Finiteness certificate: the singular locus colength and the full chain."""
-    minors = maximal_minors(jacobian_matrix(list(X.phi)), X.k)
-    sing = ideal_colength(list(X.phi) + minors)
-    certificate = {"singular_colength": sing}
-    if sing is INFINITE:
-        return False, certificate
-    try:
-        mu = milnor_icis(X)
-    except ChainDegenerate:
-        certificate["chain"] = "degenerate"
-        return False, certificate
-    certificate["milnor"] = mu
-    return True, certificate
+    return Germ(X).icis
 
 
 def tjurina_generators(X: ICIS) -> list[Vector]:
@@ -224,49 +214,17 @@ def relative_jacobian_ideal(f: Polynomial, X: ICIS) -> list[Polynomial]:
     return maximal_minors(jacobian_matrix([f] + list(X.phi)), X.k + 1)
 
 
-def br_minus_direct(f: Polynomial, X: ICIS, theta: list[Vector] | None = None):
-    """colength(df(Theta_X) + I_X)."""
-    if theta is None:
-        theta = theta_x(X)
-    return ideal_colength(df_image(f, theta) + list(X.phi))
-
-
 def br_minus_formula(f: Polynomial, X: ICIS):
     """colength(J(f,phi) + I_X) - tau; INFINITE when f is not finite on X."""
-    c = ideal_colength(relative_jacobian_ideal(f, X) + list(X.phi))
-    if c is INFINITE:
-        return INFINITE
-    return c - tjurina(X)
+    return Germ(X, f).br_minus_formula
 
 
-def section_milnor(f: Polynomial, X: ICIS, seed: int = 0):
+def section_milnor(f: Polynomial, X: ICIS):
     """Milnor number of the slice of X by f."""
-    return milnor_chain(list(X.phi) + [f], seed=seed)
+    return milnor_chain(list(X.phi) + [f])
 
 
-def verify_relative_identity(f: Polynomial, X: ICIS) -> dict:
-    """Slice Milnor number against relative Bruce-Roberts minus Milnor plus
-    Tjurina, both sides computed independently."""
-    lhs = section_milnor(f, X)
-    brm = br_minus_direct(f, X)
-    mu = milnor_icis(X)
-    tau = tjurina(X)
-    rhs = None
-    if all(v is not INFINITE for v in (brm, mu, tau)):
-        rhs = brm - mu + tau
-    return {"lhs": lhs, "rhs": rhs, "brMinus": brm, "muX": mu, "tauX": tau,
-            "pass": lhs == rhs}
-
-
-def br_direct(f: Polynomial, X: ICIS, theta: list[Vector] | None = None):
-    """colength(df(Theta_X))."""
-    if theta is None:
-        theta = theta_x(X)
-    return ideal_colength(df_image(f, theta))
-
-
-def tor1_dimension(I: list[Polynomial], J: list[Polynomial],
-                   koszul_check: bool = True):
+def tor1_dimension(I: list[Polynomial], J: list[Polynomial]):
     """dim (I cap J)/(I J) by the subquotient route; cross-checked against the
     Koszul homology route whenever J has finite colength."""
     inter = intersect(I, J)
@@ -274,7 +232,7 @@ def tor1_dimension(I: list[Polynomial], J: list[Polynomial],
     if not inter:
         return 0
     sub = Subquotient.of_ideals(inter, prod, check=False).colength()
-    if koszul_check and ideal_colength(J) is not INFINITE:
+    if ideal_colength(J) is not INFINITE:
         kos = koszul_tor(I, J)[1]
         if kos != sub:
             raise InternalError(
@@ -282,82 +240,160 @@ def tor1_dimension(I: list[Polynomial], J: list[Polynomial],
     return sub
 
 
-def br_tor_formula(f: Polynomial, X: ICIS):
-    """The Bruce-Roberts number assembled from Milnor data and the Tor term."""
-    mu_f = milnor_number(f)
-    Jf = jacobian_ideal(f)
-    mu_sect = section_milnor(f, X)
-    mu = milnor_icis(X)
-    tau = tjurina(X)
-    mixed = ideal_colength(Jf + list(X.phi))
-    tor1 = tor1_dimension(list(X.phi), Jf)
-    parts = (mu_f, mu_sect, mu, tau, mixed, tor1)
-    if any(v is INFINITE for v in parts):
-        return INFINITE
-    return mu_f + mu_sect + mu - tau - mixed + tor1
+class Germ:
+    """One ICIS X, and optionally a function germ f on it, as a session.
 
+    Each invariant is computed on first use and kept, so a term shared by
+    several formulas (mu(X), tau(X), Theta_X, ...) is computed once however
+    many formulas and identities read it.  The invariants of f need f."""
 
-def br_codim2_formula(f: Polynomial, X: ICIS):
-    """Codimension-2 closed formula."""
-    if X.k != 2:
-        raise ValueError("closed formula requires codimension 2")
-    mu_f = milnor_number(f)
-    mu_sect = section_milnor(f, X)
-    mu = milnor_icis(X)
-    tau = tjurina(X)
-    mixed = ideal_colength(jacobian_ideal(f) + list(X.phi))
-    parts = (mu_f, mu_sect, mu, tau, mixed)
-    if any(v is INFINITE for v in parts):
-        return INFINITE
-    return mu_f + mu_sect + mu - tau + mixed
+    def __init__(self, X: ICIS, f: Polynomial | None = None):
+        self.X = X
+        self.f = f
 
+    @cached_property
+    def icis(self) -> tuple[bool, dict]:
+        """Finiteness certificate: the singular locus colength and the full
+        chain."""
+        phi = list(self.X.phi)
+        minors = maximal_minors(jacobian_matrix(phi), self.X.k)
+        certificate = {"singular_colength": ideal_colength(phi + minors)}
+        if certificate["singular_colength"] is INFINITE:
+            return False, certificate
+        try:
+            certificate["milnor"] = self.mu_X
+        except ChainDegenerate:
+            certificate["chain"] = "degenerate"
+        return "milnor" in certificate, certificate
 
-def tau_via_theta_quotient(X: ICIS, f: Polynomial | None = None, seed: int = 0):
-    """Tjurina number as the colength of Theta_X over its trivial part, and of
-    the corresponding image ideals under df."""
-    theta = theta_x(X)
-    trivial = theta_x_trivial(X)
-    first = Subquotient(X.n, theta, trivial).colength()
-    if f is None:
-        f = generic_linear(X, seed=seed)
-    num = df_image(f, theta) + list(X.phi)
-    den = df_image(f, trivial) + list(X.phi)
-    second = Subquotient.of_ideals(num, den).colength()
-    return first, second
+    @cached_property
+    def mu_X(self):
+        return milnor_icis(self.X)
 
+    @cached_property
+    def tau_X(self):
+        return tjurina(self.X)
 
-def generic_linear(X: ICIS, seed: int = 0, draws: int = 10) -> Polynomial:
-    """Seeded random linear form with finite relative Bruce-Roberts number,
-    minimal over the draws."""
-    rng = random.Random(seed)
-    ring = X.ring
-    best = None
-    for _ in range(draws):
-        coeffs = [rng.randint(-5, 5) for _ in range(ring.nvars)]
-        if all(c == 0 for c in coeffs):
-            continue
-        p = sum((ring.constant(c) * ring.var(i) for i, c in enumerate(coeffs)),
-                ring.zero)
-        val = br_minus_formula(p, X)
-        if val is INFINITE:
-            continue
-        if best is None or val < best[0]:
-            best = (val, p)
-    if best is None:
-        raise ChainDegenerate("no finite linear projection found")
-    return best[1]
+    @cached_property
+    def theta(self) -> list[Vector]:
+        return theta_x(self.X)
 
+    @cached_property
+    def theta_trivial(self) -> list[Vector]:
+        return theta_x_trivial(self.X)
 
-def polar_and_euler(X: ICIS, seed: int = 0):
-    """Polar multiplicity of the generic linear projection and the local Euler
-    obstruction recovered from it."""
-    p = generic_linear(X, seed=seed)
-    brm = br_minus_formula(p, X)
-    tau = tjurina(X)
-    mu = milnor_icis(X)
-    m = brm + tau
-    eu = brm + tau - mu + (-1) ** (X.n - X.k - 1)
-    return m, eu
+    @cached_property
+    def jf(self) -> list[Polynomial]:
+        return jacobian_ideal(self.f)
+
+    @cached_property
+    def mu_f(self):
+        return ideal_colength(self.jf)
+
+    @cached_property
+    def mu_section(self):
+        return section_milnor(self.f, self.X)
+
+    @cached_property
+    def mixed(self):
+        """colength(Jf + I_X)."""
+        return ideal_colength(self.jf + list(self.X.phi))
+
+    @cached_property
+    def tor1(self):
+        """dim Tor_1(O/I_X, O/Jf)."""
+        return tor1_dimension(list(self.X.phi), self.jf)
+
+    @cached_property
+    def br_minus_direct(self):
+        """colength(df(Theta_X) + I_X)."""
+        return ideal_colength(df_image(self.f, self.theta) + list(self.X.phi))
+
+    @cached_property
+    def br_minus_formula(self):
+        """colength(J(f,phi) + I_X) - tau; INFINITE when f is not finite on X."""
+        c = ideal_colength(relative_jacobian_ideal(self.f, self.X)
+                           + list(self.X.phi))
+        return INFINITE if c is INFINITE else c - self.tau_X
+
+    @cached_property
+    def br_direct(self):
+        """colength(df(Theta_X))."""
+        return ideal_colength(df_image(self.f, self.theta))
+
+    @cached_property
+    def br_tor(self):
+        """The Bruce-Roberts number assembled from Milnor data and the Tor
+        term."""
+        parts = (self.mu_f, self.mu_section, self.mu_X, self.tau_X,
+                 self.mixed, self.tor1)
+        if any(v is INFINITE for v in parts):
+            return INFINITE
+        mu_f, mu_sect, mu, tau, mixed, tor1 = parts
+        return mu_f + mu_sect + mu - tau - mixed + tor1
+
+    @cached_property
+    def br_codim2(self):
+        """Codimension-2 closed formula."""
+        if self.X.k != 2:
+            raise ValueError("closed formula requires codimension 2")
+        parts = (self.mu_f, self.mu_section, self.mu_X, self.tau_X,
+                 self.mixed)
+        if any(v is INFINITE for v in parts):
+            return INFINITE
+        mu_f, mu_sect, mu, tau, mixed = parts
+        return mu_f + mu_sect + mu - tau + mixed
+
+    @cached_property
+    def relative_identity(self) -> dict:
+        """Slice Milnor number against relative Bruce-Roberts minus Milnor plus
+        Tjurina, both sides computed independently."""
+        lhs, brm = self.mu_section, self.br_minus_direct
+        mu, tau = self.mu_X, self.tau_X
+        rhs = None
+        if all(v is not INFINITE for v in (brm, mu, tau)):
+            rhs = brm - mu + tau
+        return {"lhs": lhs, "rhs": rhs, "brMinus": brm, "muX": mu, "tauX": tau,
+                "pass": lhs == rhs}
+
+    @cached_property
+    def generic_linear(self) -> tuple[int, Polynomial]:
+        """(m, p): of ten seeded random linear forms p, the one with the least
+        finite m = colength(J(p,phi) + I_X).  That m is the polar multiplicity,
+        muBR^-(p, X) + tau(X)."""
+        rng = random.Random(0)
+        ring = self.X.ring
+        best = None
+        for _ in range(10):
+            coeffs = [rng.randint(-5, 5) for _ in range(ring.nvars)]
+            if all(c == 0 for c in coeffs):
+                continue
+            p = sum((ring.constant(c) * ring.var(i) for i, c in enumerate(coeffs)),
+                    ring.zero)
+            m = ideal_colength(relative_jacobian_ideal(p, self.X)
+                               + list(self.X.phi))
+            if m is not INFINITE and (best is None or m < best[0]):
+                best = (m, p)
+        if best is None:
+            raise ChainDegenerate("no finite linear projection found")
+        return best
+
+    def tau_via_theta_quotient(self):
+        """Tjurina number as the colength of Theta_X over its trivial part, and
+        of the corresponding image ideals under df (under the generic linear
+        form when there is no f)."""
+        first = Subquotient(self.X.n, self.theta, self.theta_trivial).colength()
+        f = self.f if self.f is not None else self.generic_linear[1]
+        phi = list(self.X.phi)
+        num = df_image(f, self.theta) + phi
+        den = df_image(f, self.theta_trivial) + phi
+        return first, Subquotient.of_ideals(num, den).colength()
+
+    def polar_and_euler(self):
+        """Polar multiplicity of the generic linear projection and the local
+        Euler obstruction recovered from it."""
+        m = self.generic_linear[0]
+        return m, m - self.mu_X + (-1) ** (self.X.n - self.X.k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +470,14 @@ def _random_poly(ring: GermRing, maxdeg: int, rng: random.Random) -> Polynomial:
     return ring.from_dict(d)
 
 
-def _is_regular_sequence(gens: list[Polynomial], rng: random.Random,
-                         attempts: int = 3) -> bool:
+def _is_regular_sequence(gens: list[Polynomial], rng: random.Random) -> bool:
     """Dimension check: k generators cut the expected codimension exactly when
     some generic linear slice of complementary dimension is finite."""
     ring = gens[0].ring
     n, k = ring.nvars, len(gens)
     if k == n:
         return ideal_colength(gens) is not INFINITE
-    for _ in range(attempts):
+    for _ in range(3):
         linears = []
         for _ in range(n - k):
             coeffs = [rng.randint(1, 7) * (1 if rng.random() < 0.5 else -1)

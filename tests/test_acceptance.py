@@ -8,12 +8,10 @@ import os
 import random
 import time
 
-from germcalc import (ICIS, GermRing, br_codim2_formula, br_direct, br_minus_direct,
-                      br_minus_formula, br_tor_formula, colength, conjecture_scan,
-                      ideal_basis, is_icis, jacobian_ideal, milnor_icis,
-                      milnor_number, oracle_colength, polar_and_euler,
-                      section_milnor, tjurina, tor1_dimension,
-                      verify_relative_identity)
+from germcalc import (ICIS, Germ, GermRing, br_minus_formula, colength,
+                      conjecture_scan, ideal_basis, is_icis, jacobian_ideal,
+                      milnor_icis, milnor_number, oracle_colength,
+                      section_milnor, tjurina, tor1_dimension)
 from germcalc.cli import ALL_IDENTITIES, check_identity
 from germcalc.germfile import load_germfile
 from germcalc.invariants import random_linear_images, relative_jacobian_ideal
@@ -52,7 +50,7 @@ def test_criterion_1_worked_icis():
     assert oracle_colength([q] + minors) == 6
 
     f1 = R3.parse("z")
-    assert br_minus_direct(f1, X) == 3
+    assert Germ(X, f1).br_minus_direct == 3
     assert br_minus_formula(f1, X) == 3
     rel = relative_jacobian_ideal(f1, X) + [q, xy]
     assert colength(ideal_basis(rel)) == 8
@@ -63,14 +61,15 @@ def test_criterion_1_worked_icis():
     Jf = jacobian_ideal(f2)
     assert colength(ideal_basis(Jf + [q, xy])) == 1
     assert tor1_dimension([q, xy], Jf) == 2
-    assert br_direct(f2, X) == 9
-    assert br_tor_formula(f2, X) == 9
-    assert br_codim2_formula(f2, X) == 9
-    res = verify_relative_identity(f2, X)
+    germ = Germ(X, f2)
+    assert germ.br_direct == 9
+    assert germ.br_tor == 9
+    assert germ.br_codim2 == 9
+    res = germ.relative_identity
     assert res["pass"] and res["lhs"] == 7
 
     # Euler obstruction equals the multiplicity of the four-line curve
-    m, eu = polar_and_euler(X)
+    m, eu = Germ(X).polar_and_euler()
     assert eu == 4 and m == 8
 
     elapsed = time.perf_counter() - start
@@ -109,8 +108,9 @@ def test_criterion_3_identity_suite():
         gf = load_germfile(path)
         strata["ihs" if gf.X.k == 1 else "k2"] += 1
         strata["wh" if gf.options.get("weighted_homogeneous") else "nonwh"] += 1
+        germ = Germ(gf.X, gf.f)
         for name in ALL_IDENTITIES:
-            entry = check_identity(name, gf)
+            entry = check_identity(name, germ, gf.options)
             assert entry["status"] != "FAIL", (path, entry)
             checked += entry["status"] == "PASS"
     assert all(strata.values()), strata
@@ -178,7 +178,7 @@ def test_criterion_7_cohen_macaulay_shadow():
         gf = load_germfile(path)
         if gf.f is None:
             continue
-        direct = br_minus_direct(gf.f, gf.X)
+        direct = Germ(gf.X, gf.f).br_minus_direct
         assert isinstance(direct, int), (path, direct)
         assert direct == br_minus_formula(gf.f, gf.X), path
         checked.append(direct)

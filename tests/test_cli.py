@@ -1,11 +1,20 @@
 """Germfile parsing, subcommands, JSON reports, and exit codes."""
 
+import contextlib
+import glob
+import io
 import json
+import os
+import sys
 
 import pytest
 
-from germcalc.cli import main
-from germcalc.germfile import GermfileError, parse_germfile
+import germcalc.invariants
+from germcalc.cli import ALL_IDENTITIES, main, verify_report
+from germcalc.germfile import GermfileError, load_germfile, parse_germfile
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "corpus_reports.json")
 
 WORKED = """\
 # the worked space curve
@@ -242,15 +251,40 @@ def test_lc_round_trip(tmp_path, capsys):
         R2n.parse(s)
 
 
-def test_oracle_colength(tmp_path, capsys):
+@pytest.fixture
+def e7_path(tmp_path):
     p = tmp_path / "e7.germ"
     p.write_text("ring Q x y\nX: 3*x^2+y^3, 3*x*y^2\n")
-    code, out, _ = run(capsys, "oracle", "colength", str(p), "--json")
+    return str(p)
+
+
+def test_oracle_colength(e7_path, capsys):
+    code, out, _ = run(capsys, "oracle", "colength", e7_path, "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["oracle"] == 7
     assert doc["engine"] == 7
     assert doc["agree"] is True
+
+
+@pytest.mark.parametrize("truncation", ["0", "1", "-3"])
+def test_oracle_truncation_below_two_is_an_input_error(truncation, e7_path,
+                                                       capsys):
+    code, out, err = run(capsys, "oracle", "colength", e7_path, "--json",
+                         "--truncation", truncation)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "truncation" in err
+
+
+def test_oracle_disagreement_fails(e7_path, capsys, monkeypatch):
+    monkeypatch.setattr("germcalc.cli.oracle_colength",
+                        lambda gens, truncation: 6)
+    code, out, err = run(capsys, "oracle", "colength", e7_path, "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["oracle"], doc["engine"], doc["agree"]) == (6, 7, False)
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +313,54 @@ def test_corpus_bad_germfile_is_an_error_item(tmp_path, capsys):
     doc = json.loads(out)
     assert [i["verdict"] for i in doc["items"]] == ["PASS", "ERROR"]
     assert doc["items"][1]["error"].startswith("line 1:")
+
+
+# ---------------------------------------------------------------------------
+# golden corpus reports
+
+def corpus_reports() -> dict:
+    """The `compute --method both --json` and `verify --json` reports of every
+    corpus germ, timing removed, keyed by file name."""
+    reports = {}
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.germ"))):
+        entry = {}
+        for command in (["compute", path, "--method", "both"],
+                        ["verify", path]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(command + ["--json"])
+            assert code == 0, (path, command[0])
+            doc = json.loads(out.getvalue())
+            doc.pop("timing")
+            entry[command[0]] = doc
+        reports[os.path.basename(path)] = entry
+    return reports
+
+
+def test_corpus_reports_match_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = corpus_reports()
+    assert sorted(got) == sorted(golden)
+    for name in golden:
+        assert json.dumps(got[name], sort_keys=True) == \
+            json.dumps(golden[name], sort_keys=True), name
+
+
+def test_verify_computes_each_invariant_once(monkeypatch):
+    calls = {}
+    for name in ("tjurina", "milnor_chain", "theta_x"):
+        original = getattr(germcalc.invariants, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if ((mod_name == "germcalc" or mod_name.startswith("germcalc."))
+                    and vars(module).get(name) is original):
+                monkeypatch.setattr(module, name, counted)
+    gf = load_germfile(os.path.join(CORPUS, "worked.germ"))
+    assert verify_report(gf, list(ALL_IDENTITIES))["verdict"] == "PASS"
+    # milnor_chain runs for X and for the section of X by f
+    assert calls == {"tjurina": 1, "milnor_chain": 2, "theta_x": 1}

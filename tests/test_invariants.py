@@ -1,20 +1,25 @@
 """Milnor, Tjurina, and Bruce-Roberts numbers: route agreement, vector field
 modules, characteristic ideals, and the randomized scanner."""
 
+import glob
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from germcalc import (ICIS, INFINITE, GermRing, Vector, br_codim2_formula, br_direct,
-                      br_minus_direct, br_minus_formula, br_tor_formula, colength,
-                      conjecture_scan, df_image, ideal_basis, is_icis,
-                      jacobian_ideal, lc_ideals, milnor_icis,
-                      milnor_number, polar_and_euler, render, section_milnor,
-                      standard_basis, tau_via_theta_quotient, theta_x,
-                      theta_x_trivial, tjurina, tor1_dimension,
-                      verify_relative_identity)
+from germcalc import (ICIS, INFINITE, Field, Germ, GermRing, Vector, br_minus_formula,
+                      colength, conjecture_scan, df_image, ideal_basis, is_icis,
+                      jacobian_ideal, lc_ideals, milnor_icis, milnor_number,
+                      render, section_milnor, standard_basis, theta_x,
+                      theta_x_trivial, tjurina, tor1_dimension)
+from germcalc.germfile import load_germfile, parse_germfile
 from germcalc.invariants import random_linear_images
 from germcalc.modops import jacobian_matrix
+
+CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                       "corpus", "*.germ")))
 
 
 @pytest.fixture
@@ -108,35 +113,35 @@ def test_df_image_double_inclusion(fourlines, R3):
 
 def test_br_minus_both_routes(fourlines, R3):
     f = R3.parse("z")
-    assert br_minus_direct(f, fourlines) == 3
+    assert Germ(fourlines, f).br_minus_direct == 3
     assert br_minus_formula(f, fourlines) == 3
 
 
 def test_relative_identity(fourlines, R3):
-    res = verify_relative_identity(R3.parse("z^2+x*y"), fourlines)
+    res = Germ(fourlines, R3.parse("z^2+x*y")).relative_identity
     assert res["pass"]
     assert res["lhs"] == 7
     assert res["muX"] == 5 and res["tauX"] == 5
 
 
 def test_br_all_routes_agree(fourlines, R3):
-    f = R3.parse("z^2+x*y")
-    assert br_direct(f, fourlines) == 9
-    assert br_tor_formula(f, fourlines) == 9
-    assert br_codim2_formula(f, fourlines) == 9
+    germ = Germ(fourlines, R3.parse("z^2+x*y"))
+    assert germ.br_direct == 9
+    assert germ.br_tor == 9
+    assert germ.br_codim2 == 9
 
 
 def test_br_linear_function(fourlines, R3):
-    f = R3.parse("z")
-    assert br_direct(f, fourlines) == 3
-    assert br_tor_formula(f, fourlines) == 3
-    assert br_codim2_formula(f, fourlines) == 3
+    germ = Germ(fourlines, R3.parse("z"))
+    assert germ.br_direct == 3
+    assert germ.br_tor == 3
+    assert germ.br_codim2 == 3
 
 
 def test_br_codim2_formula_requires_codimension_two(R2):
     X = ICIS((R2.parse("x^3+y^2"),))
     with pytest.raises(ValueError):
-        br_codim2_formula(R2.parse("x"), X)
+        Germ(X, R2.parse("x")).br_codim2
 
 
 def test_tor1_hypersurface_case(R2):
@@ -149,7 +154,7 @@ def test_tor1_hypersurface_case(R2):
 
 
 def test_tau_via_theta_quotients(fourlines, R3):
-    first, second = tau_via_theta_quotient(fourlines, R3.parse("z"))
+    first, second = Germ(fourlines, R3.parse("z")).tau_via_theta_quotient()
     assert first == 5 and second == 5
 
 
@@ -168,7 +173,7 @@ def test_finiteness_equivalence_with_infinite_instance(R3):
 
 
 def test_polar_and_euler(fourlines):
-    m, eu = polar_and_euler(fourlines)
+    m, eu = Germ(fourlines).polar_and_euler()
     assert (m, eu) == (8, 4)
 
 
@@ -241,3 +246,38 @@ def test_invariants_under_linear_change(fourlines, R3):
         moved = ICIS(tuple(p.substitute(images) for p in fourlines.phi))
         assert milnor_icis(moved) == 5
         assert tjurina(moved) == 5
+
+
+# ---------------------------------------------------------------------------
+# session invariants under generator order and coefficient field
+
+def session_values(germ):
+    return germ.mu_X, germ.tau_X, germ.br_minus_formula
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_generator_permutation_leaves_session_values(data):
+    gf = load_germfile(data.draw(st.sampled_from(CORPUS)))
+    order = data.draw(st.permutations(range(gf.X.k)))
+    permuted = ICIS(tuple(gf.X.phi[i] for i in order))
+    assert session_values(Germ(permuted, gf.f)) == \
+        session_values(Germ(gf.X, gf.f))
+
+
+small = st.integers(-3, 3)
+
+
+@given(st.integers(2, 6), st.integers(2, 6), small, st.integers(1, 3),
+       st.integers(1, 3), small, small)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_rationals_and_prime_field_agree(a, b, c, i, j, u, v):
+    # the same germfile read over Q and over F_32003
+    body = f"X: x^{a}+y^{b}{c:+d}*x^{i}*y^{j}\nf: x*y{u:+d}*x{v:+d}*y\n"
+    values = []
+    for field in ("Q", "Fp:32003"):
+        gf = parse_germfile(f"ring {field} x y\n" + body)
+        germ = Germ(gf.X, gf.f)
+        ok, certificate = germ.icis
+        values.append((certificate, session_values(germ) if ok else None))
+    assert values[0] == values[1]
