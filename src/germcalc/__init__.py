@@ -10,10 +10,9 @@ from .stdbasis import (INCONCLUSIVE, INFINITE, DegreeCapExceeded,
                        StandardBasis, Vector, colength, ideal_basis,
                        mora_divide, mora_normal_form, oracle_colength,
                        staircase, standard_basis)
-from .modops import (ArtinianAlgebra, InternalError, PolyMatrix, Subquotient,
-                     determinant, ideal_product, intersect, jacobian_matrix,
-                     koszul_tor, maximal_minors, matrix_rank, quotient_ideal,
-                     syzygies)
+from .modops import (ArtinianAlgebra, InternalError, Subquotient, determinant,
+                     ideal_product, intersect, jacobian_matrix, koszul_tor,
+                     maximal_minors, matrix_rank, quotient_ideal, syzygies)
 from .invariants import (ICIS, ChainDegenerate, Germ, LCBundle,
                          br_minus_formula, conjecture_scan, df_image, is_icis,
                          jacobian_ideal, lc_ideals, milnor_chain, milnor_icis,

@@ -14,8 +14,8 @@ from .ring import (QQ, BlockOrder, DegRevLex, GermRing, NegDegRevLex,
                    Polynomial, render)
 from .stdbasis import (INFINITE, DegreeCapExceeded, Vector, colength,
                        ideal_colength, oracle_colength, standard_basis)
-from .modops import (InternalError, PolyMatrix, Subquotient, dedupe,
-                     dedupe_vectors, ideal_product, intersect, jacobian_matrix,
+from .modops import (InternalError, Subquotient, dedupe, dedupe_vectors,
+                     determinant, ideal_product, intersect, jacobian_matrix,
                      koszul_tor, matrix_rank, maximal_minors, quotient_ideal,
                      syzygies)
 
@@ -130,23 +130,18 @@ def is_icis(X: ICIS):
     return Germ(X).icis
 
 
-def tjurina_generators(X: ICIS) -> list[Vector]:
-    """Columns of the Jacobian of phi together with phi_i times the unit
-    vectors, inside O^k."""
-    ring = X.ring
-    k = X.k
-    dphi = jacobian_matrix(list(X.phi))
-    gens = [dphi.column(j) for j in range(X.n)]
-    for i in range(k):
-        for j in range(k):
-            gens.append(Vector(tuple(X.phi[i] if t == j else ring.zero
-                                     for t in range(k))))
-    return dedupe_vectors(gens)
+def _tangent_matrix(X: ICIS) -> list[list[Polynomial]]:
+    """Rows of the k x (n + k^2) matrix [dphi | phi_i e_j]: the n Jacobian
+    columns, then phi_i times the j-th unit vector of O^k for i, then j."""
+    zero, k = X.ring.zero, X.k
+    return [row + [phi if t == j else zero for phi in X.phi for j in range(k)]
+            for t, row in enumerate(jacobian_matrix(list(X.phi)))]
 
 
 def tjurina(X: ICIS):
     """Colength of O^k by (Im dphi + I_X O^k)."""
-    return colength(standard_basis(tjurina_generators(X)))
+    columns = [Vector(col) for col in zip(*_tangent_matrix(X))]
+    return colength(standard_basis(dedupe_vectors(columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,42 +150,33 @@ def tjurina(X: ICIS):
 def theta_x(X: ICIS) -> list[Vector]:
     """Generators of the vector fields preserving the ideal of X, as the
     projection of the syzygies of [dphi | phi_i e_j]."""
-    ring = X.ring
-    n, k = X.n, X.k
+    rels = syzygies(_tangent_matrix(X))
+    return dedupe_vectors([Vector(v.components[:X.n]) for v in rels])
+
+
+def _cofactor_fields(X: ICIS) -> list[Vector]:
+    """One field per (k+1)-subset of the coordinates, in lexicographic order:
+    the signed first-row cofactors of the (k+1)-minor of dphi with a
+    symbolic first row on those columns."""
+    zero, n, k = X.ring.zero, X.n, X.k
     dphi = jacobian_matrix(list(X.phi))
-    cols: list[list[Polynomial]] = [[dphi.entry(i, j) for i in range(k)]
-                                    for j in range(n)]
-    for i in range(k):
-        for j in range(k):
-            cols.append([X.phi[i] if t == j else ring.zero for t in range(k)])
-    M = PolyMatrix([[cols[j][i] for j in range(len(cols))] for i in range(k)])
-    rels = syzygies(M)
-    out = [Vector(v.components[:n]) for v in rels]
-    return dedupe_vectors([v for v in out if not v.is_zero])
+    out = []
+    for csub in itertools.combinations(range(n), k + 1):
+        comps = [zero] * n
+        for a, col in enumerate(csub):
+            minor = determinant([[row[j] for j in csub if j != col] for row in dphi])
+            comps[col] = minor if a % 2 == 0 else -minor
+        out.append(Vector(comps))
+    return out
 
 
 def theta_x_trivial(X: ICIS) -> list[Vector]:
-    """The cofactor fields of the (k+1)-minors with a symbolic first row,
-    together with the phi_i-multiples of the coordinate fields."""
-    ring = X.ring
-    n, k = X.n, X.k
-    dphi = jacobian_matrix(list(X.phi))
-    out = []
-    if k + 1 <= n:
-        from .modops import determinant
-        for csub in itertools.combinations(range(n), k + 1):
-            comps = [ring.zero] * n
-            for a, col in enumerate(csub):
-                rest = [c for c in csub if c != col]
-                minor = determinant([[dphi.entry(i, j) for j in rest]
-                                     for i in range(k)])
-                comps[col] = minor if a % 2 == 0 else -minor
-            out.append(Vector(comps))
-    for i in range(k):
-        for j in range(n):
-            out.append(Vector(tuple(X.phi[i] if t == j else ring.zero
-                                    for t in range(n))))
-    return dedupe_vectors(out)
+    """The cofactor fields together with the phi_i-multiples of the
+    coordinate fields."""
+    zero, n = X.ring.zero, X.n
+    multiples = [Vector([phi if t == j else zero for t in range(n)])
+                 for phi in X.phi for j in range(n)]
+    return dedupe_vectors(_cofactor_fields(X) + multiples)
 
 
 def df_image(f: Polynomial, theta: list[Vector]) -> list[Polynomial]:
@@ -418,33 +404,21 @@ def _cotangent_ring(ring: GermRing) -> GermRing:
 def lc_ideals(X: ICIS) -> LCBundle:
     """The ideals of the logarithmic characteristic variety, its relative
     version (colon by the fiber ideal), and the trivial-fields version."""
-    ring = X.ring
-    n, k = X.n, X.k
-    ext = _cotangent_ring(ring)
+    n = X.n
+    ext = _cotangent_ring(X.ring)
     var_map = list(range(n))
     pvars = [ext.var(n + i) for i in range(n)]
 
-    theta = theta_x(X)
-    lc = []
-    for xi in theta:
-        acc = ext.zero
-        for j in range(n):
-            acc = acc + xi.components[j].map_to(ext, var_map) * pvars[j]
-        if not acc.is_zero:
-            lc.append(acc)
-    lc = dedupe(lc)
-    lc_minus = quotient_ideal(lc, pvars)
+    def symbol(xi: Vector) -> Polynomial:
+        """sigma(xi) = sum_j xi_j p_j in the doubled ring."""
+        return sum((c.map_to(ext, var_map) * p
+                    for c, p in zip(xi.components, pvars)), ext.zero)
 
-    phis_ext = [p.map_to(ext, var_map) for p in X.phi]
-    dphi = jacobian_matrix(list(X.phi))
-    symbol_rows = [pvars]
-    for i in range(k):
-        symbol_rows.append([dphi.entry(i, j).map_to(ext, var_map)
-                            for j in range(n)])
-    lc_trivial = list(phis_ext)
-    if k + 1 <= n:
-        lc_trivial += maximal_minors(PolyMatrix(symbol_rows), k + 1)
-    return LCBundle(ext, lc, lc_minus, dedupe(lc_trivial))
+    lc = dedupe([symbol(xi) for xi in theta_x(X)])
+    lc_minus = quotient_ideal(lc, pvars)
+    lc_trivial = dedupe([p.map_to(ext, var_map) for p in X.phi]
+                        + [symbol(xi) for xi in _cofactor_fields(X)])
+    return LCBundle(ext, lc, lc_minus, lc_trivial)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ quotient algebra."""
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .ring import (BlockOrder, DegRevLex, GermRing, NegDegRevLex, Polynomial,
                    mono_deg, mono_div)
@@ -19,46 +20,10 @@ class InternalError(RuntimeError):
 # ---------------------------------------------------------------------------
 # polynomial matrices and determinantal ideals
 
-class PolyMatrix:
-    """Rectangular matrix of polynomials."""
-
-    def __init__(self, rows: list[list[Polynomial]]):
-        if not rows or not rows[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(rows)
-        self.ncols = width
-
-    @property
-    def ring(self) -> GermRing:
-        return self.rows[0][0].ring
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.rows[i][j]
-
-    def column(self, j: int) -> Vector:
-        return Vector(tuple(self.rows[i][j] for i in range(self.nrows)))
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector of rank ncols."""
-        if v.rank != self.ncols:
-            raise ValueError("rank mismatch")
-        out = []
-        for i in range(self.nrows):
-            acc = self.ring.zero
-            for j in range(self.ncols):
-                acc = acc + self.rows[i][j] * v.components[j]
-            out.append(acc)
-        return Vector(out)
-
-
-def jacobian_matrix(fs: list[Polynomial]) -> PolyMatrix:
-    """Row i is the gradient of fs[i]."""
+def jacobian_matrix(fs: list[Polynomial]) -> list[list[Polynomial]]:
+    """Rows of the Jacobian matrix: row i is the gradient of fs[i]."""
     ring = fs[0].ring
-    return PolyMatrix([[f.derivative(j) for j in range(ring.nvars)] for f in fs])
+    return [[f.derivative(j) for j in range(ring.nvars)] for f in fs]
 
 
 def determinant(rows: list[list[Polynomial]]) -> Polynomial:
@@ -77,14 +42,15 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
     return acc
 
 
-def maximal_minors(M: PolyMatrix, size: int) -> list[Polynomial]:
+def maximal_minors(rows: list[list[Polynomial]], size: int) -> list[Polynomial]:
     """All size x size minors, subsets in lexicographic order, zeros dropped."""
-    if size < 1 or size > min(M.nrows, M.ncols):
-        raise ValueError(f"minor size {size} out of range for {M.nrows}x{M.ncols}")
+    nrows, ncols = len(rows), len(rows[0])
+    if size < 1 or size > min(nrows, ncols):
+        raise ValueError(f"minor size {size} out of range for {nrows}x{ncols}")
     out = []
-    for rsub in itertools.combinations(range(M.nrows), size):
-        for csub in itertools.combinations(range(M.ncols), size):
-            d = determinant([[M.rows[i][j] for j in csub] for i in rsub])
+    for rsub in itertools.combinations(range(nrows), size):
+        for csub in itertools.combinations(range(ncols), size):
+            d = determinant([[rows[i][j] for j in csub] for i in rsub])
             if not d.is_zero:
                 out.append(d)
     return dedupe(out)
@@ -92,19 +58,11 @@ def maximal_minors(M: PolyMatrix, size: int) -> list[Polynomial]:
 
 def dedupe(polys: list[Polynomial]) -> list[Polynomial]:
     """Drop zeros and constant-multiple duplicates, preserving order."""
-    seen = set()
-    out = []
-    for p in polys:
-        if p.is_zero:
-            continue
-        key = Vector.ideal(p).normalized()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+    return [v.components[0] for v in dedupe_vectors([Vector.ideal(p) for p in polys])]
 
 
 def dedupe_vectors(vs: list[Vector]) -> list[Vector]:
+    """Drop zero vectors and constant-multiple duplicates, preserving order."""
     seen = set()
     out = []
     for v in vs:
@@ -120,19 +78,19 @@ def dedupe_vectors(vs: list[Vector]) -> list[Vector]:
 # ---------------------------------------------------------------------------
 # syzygies
 
-def syzygies(M: PolyMatrix) -> list[Vector]:
-    """Generators of {v : M v = 0} over the local ring.
+def syzygies(rows: list[list[Polynomial]]) -> list[Vector]:
+    """Generators of {v : M v = 0} over the local ring, for the matrix M
+    with the given rows.
 
     Standard basis of the columns augmented with unit vectors; the elements
     whose ambient block vanishes are the relations.
     """
-    ring = M.ring
-    r, c = M.nrows, M.ncols
+    ring = rows[0][0].ring
+    r, c = len(rows), len(rows[0])
     augmented = []
-    for j in range(c):
-        comps = [M.rows[i][j] for i in range(r)]
-        comps += [ring.one if jj == j else ring.zero for jj in range(c)]
-        augmented.append(Vector(comps))
+    for j, col in enumerate(zip(*rows)):
+        unit = [ring.one if jj == j else ring.zero for jj in range(c)]
+        augmented.append(Vector(list(col) + unit))
     sb = standard_basis(augmented)
     out = []
     for g in sb.generators:
@@ -240,10 +198,13 @@ class Subquotient:
         if check and self.denominator:
             if not self.numerator:
                 raise ValueError("denominator not contained in zero numerator")
-            num_sb = standard_basis(self.numerator)
             for v in self.denominator:
-                if not num_sb.contains(v):
+                if not self._numerator_basis.contains(v):
                     raise ValueError("denominator not contained in numerator")
+
+    @cached_property
+    def _numerator_basis(self):
+        return standard_basis(self.numerator)
 
     @classmethod
     def of_ideals(cls, numerator: list[Polynomial], denominator: list[Polynomial],
@@ -259,18 +220,17 @@ class Subquotient:
         if self.ambient_rank == 1:
             # ideal quotient: when both colengths are finite the dimension is
             # their difference, which sidesteps the syzygy computation
-            num = colength(standard_basis(self.numerator))
+            num = colength(self._numerator_basis)
             if num is not INFINITE:
                 den = (colength(standard_basis(self.denominator))
                        if self.denominator else INFINITE)
                 if den is INFINITE:
                     return INFINITE
                 return den - num
-        ring = self.numerator[0].ring
         s = len(self.numerator)
         cols = self.numerator + self.denominator
-        rows = [[v.components[i] for v in cols] for i in range(self.ambient_rank)]
-        rels = syzygies(PolyMatrix(rows))
+        rels = syzygies([[v.components[i] for v in cols]
+                         for i in range(self.ambient_rank)])
         projected = [Vector(v.components[:s]) for v in rels]
         projected = [v for v in projected if not v.is_zero]
         # relations always include denominator-multiples of each generator, so

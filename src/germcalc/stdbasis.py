@@ -121,9 +121,6 @@ class Vector:
     def __sub__(self, other):
         return Vector(tuple(a - b for a, b in zip(self.components, other.components)))
 
-    def __neg__(self):
-        return Vector(tuple(-a for a in self.components))
-
     def mul_term(self, m, c) -> "Vector":
         return Vector(tuple(p.mul_term(m, c) for p in self.components))
 
@@ -214,7 +211,7 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
     return h
 
 
-def mora_divide(v: Vector, basis: list[Vector], cap: int | None = None):
+def mora_divide(v: Vector, basis: list[Vector]):
     """Weak normal form with cofactor tracking.
 
     Returns (r, u, q) with u*v = sum(q_i * basis_i) + r and u a unit: the
@@ -225,8 +222,7 @@ def mora_divide(v: Vector, basis: list[Vector], cap: int | None = None):
     e = [tuple(ring.one if j == i else ring.zero for j in range(s + 1))
          for i in range(s + 1)]
     h = mora_normal_form(Vector(v.components + e[0]),
-                         [Vector(g.components + e[i + 1]) for i, g in enumerate(basis)],
-                         cap=cap)
+                         [Vector(g.components + e[i + 1]) for i, g in enumerate(basis)])
     r, u, q = h.components[:v.rank], h.components[v.rank], h.components[v.rank + 1:]
     if not u.is_unit:
         raise AssertionError("Mora division produced a non-unit cofactor")
@@ -268,11 +264,10 @@ def _spair(f: Vector, g: Vector) -> Vector:
     cg, mg, ag = g.lead()
     assert cf == cg
     L = mono_lcm(mf, mg)
-    F = f.ring.field
     return f.mul_term(mono_div(L, mf), ag) - g.mul_term(mono_div(L, mg), af)
 
 
-def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
+def standard_basis(gens: list[Vector]) -> StandardBasis:
     """Mora's algorithm: Buchberger completion with the local weak normal form.
 
     Deterministic: normal pair selection (minimal lcm under the ordering),
@@ -296,8 +291,7 @@ def standard_basis(gens: list[Vector], cap: int | None = None) -> StandardBasis:
     if any(g.rank != rank for g in gens):
         raise ValueError("generators of mixed rank")
     ring = gens[0].ring
-    if cap is None:
-        cap = degree_cap()
+    cap = degree_cap()
 
     G = [g.normalized() for g in gens]
     if rank > 1 or not isinstance(ring.order, NegDegRevLex):
@@ -405,8 +399,8 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
     return StandardBasis(keep, rank, corner)
 
 
-def ideal_basis(polys: list[Polynomial], cap: int | None = None) -> StandardBasis:
-    return standard_basis([Vector.ideal(p) for p in polys], cap=cap)
+def ideal_basis(polys: list[Polynomial]) -> StandardBasis:
+    return standard_basis([Vector.ideal(p) for p in polys])
 
 
 def ideal_colength(polys: list[Polynomial]):

@@ -5,6 +5,7 @@ import glob
 import io
 import json
 import os
+import shutil
 import sys
 
 import pytest
@@ -15,6 +16,7 @@ from germcalc.germfile import GermfileError, load_germfile, parse_germfile
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "corpus_reports.json")
+GOLDEN_LC = os.path.join(os.path.dirname(__file__), "data", "corpus_lc.json")
 
 WORKED = """\
 # the worked space curve
@@ -205,6 +207,38 @@ def test_verify_unknown_identity(worked_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# default text output
+
+def test_compute_text_output_matches_json(capsys):
+    path = os.path.join(CORPUS, "worked.germ")
+    _, out, _ = run(capsys, "compute", path, "--json")
+    invariants = json.loads(out)["invariants"]
+    code, text, _ = run(capsys, "compute", path)
+    assert code == 0
+    assert text.splitlines() == [f"{name} = {value}"
+                                 for name, value in sorted(invariants.items())]
+    assert "muX = 5" in text.splitlines()
+
+
+def test_verify_text_output_matches_json(capsys):
+    path = os.path.join(CORPUS, "worked.germ")
+    _, out, _ = run(capsys, "verify", path, "--json")
+    doc = json.loads(out)
+    code, text, _ = run(capsys, "verify", path)
+    assert code == 0
+    expected = []
+    for entry in doc["identities"]:
+        if "lhs" in entry:
+            expected.append(f"{entry['identity']}: {entry['status']}  "
+                            f"lhs={entry['lhs']} rhs={entry['rhs']}")
+        else:
+            expected.append(f"{entry['identity']}: {entry['status']}  "
+                            f"({entry['reason']})")
+    assert text.splitlines() == expected + [f"verdict: {doc['verdict']}"]
+    assert "t22: PASS  lhs=7 rhs=7" in expected
+
+
+# ---------------------------------------------------------------------------
 # conjecture
 
 def test_conjecture_small(capsys):
@@ -221,6 +255,17 @@ def test_conjecture_zero_trials(capsys):
                        "--trials", "0", "--json")
     assert code == 0
     assert json.loads(out)["rows"] == []
+
+
+def test_conjecture_text_summary(capsys):
+    code, text, _ = run(capsys, "conjecture", "--n", "2", "--k", "2",
+                        "--trials", "2", "--seed", "42")
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith(f"trial {i}: tor=") and line.endswith(" PASS")
+               for i, line in enumerate(lines[:2]))
+    assert lines[2] == "matches: 2/2"
 
 
 def test_conjecture_bad_params(capsys):
@@ -267,6 +312,12 @@ def test_oracle_colength(e7_path, capsys):
     assert doc["agree"] is True
 
 
+def test_oracle_text_summary(e7_path, capsys):
+    code, text, _ = run(capsys, "oracle", "colength", e7_path)
+    assert code == 0
+    assert text.splitlines() == ["oracle colength: 7", "engine colength: 7"]
+
+
 @pytest.mark.parametrize("truncation", ["0", "1", "-3"])
 def test_oracle_truncation_below_two_is_an_input_error(truncation, e7_path,
                                                        capsys):
@@ -298,6 +349,34 @@ def test_corpus_runner(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "PASS"
     assert len(doc["items"]) == 2
+
+
+@pytest.fixture
+def small_corpus(tmp_path):
+    for name in ("a2_cusp", "d4", "e7"):
+        shutil.copy(os.path.join(CORPUS, name + ".germ"), tmp_path)
+    return str(tmp_path)
+
+
+def test_corpus_workers_agree(small_corpus, capsys):
+    reports = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "corpus", small_corpus, "--workers",
+                           workers, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        doc.pop("timing")
+        reports.append(doc)
+    assert reports[0] == reports[1]
+    assert len(reports[0]["items"]) == 3
+
+
+def test_corpus_text_summary(small_corpus, capsys):
+    code, text, _ = run(capsys, "corpus", small_corpus)
+    assert code == 0
+    assert text.splitlines() == [
+        f"{os.path.join(small_corpus, name)}.germ: PASS"
+        for name in ("a2_cusp", "d4", "e7")] + ["verdict: PASS"]
 
 
 def test_corpus_empty_dir(tmp_path, capsys):
@@ -345,6 +424,26 @@ def test_corpus_reports_match_golden():
     for name in golden:
         assert json.dumps(got[name], sort_keys=True) == \
             json.dumps(golden[name], sort_keys=True), name
+
+
+def test_corpus_lc_matches_golden(tmp_path, capsys):
+    """The lc JSON of every corpus germ that is not stopped by the degree cap."""
+    with open(GOLDEN_LC, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    out_path = tmp_path / "lc.json"
+    got = {}
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.germ"))):
+        code, _, err = run(capsys, "lc", path, "--out", str(out_path))
+        if code == 3:
+            # nonwh_space: the elimination basis behind LC(X)^- in the
+            # doubled ring reaches the degree cap
+            assert err.startswith("resource cap:")
+            continue
+        assert code == 0, path
+        got[os.path.basename(path)] = json.loads(out_path.read_text())
+    assert sorted(got) == sorted(golden)
+    for name in golden:
+        assert got[name] == golden[name], name
 
 
 def test_verify_computes_each_invariant_once(monkeypatch):

@@ -14,6 +14,7 @@ from germcalc import (ICIS, INFINITE, Field, Germ, GermRing, Vector, br_minus_fo
                       jacobian_ideal, lc_ideals, milnor_icis, milnor_number,
                       render, section_milnor, standard_basis, theta_x,
                       theta_x_trivial, tjurina, tor1_dimension)
+import germcalc.invariants
 from germcalc.germfile import load_germfile, parse_germfile
 from germcalc.invariants import random_linear_images
 from germcalc.modops import jacobian_matrix
@@ -43,6 +44,23 @@ def test_milnor_icis_chain(fourlines, R3):
     R2 = GermRing(("x", "y"))
     zero_dim = ICIS((R2.parse("x^2+y^2"), R2.parse("x*y")))
     assert milnor_icis(zero_dim) == 3
+
+
+def test_chain_step_falls_back_to_the_oracle(monkeypatch):
+    # under a degree cap of 3 one chain step of the twin cusps cannot finish
+    # its standard basis; the stabilized oracle value stands in, exactly
+    monkeypatch.setenv("GERMCALC_DEGREE_CAP", "3")
+    original = germcalc.invariants.oracle_colength
+    calls = []
+
+    def counted(gens, *args, **kwargs):
+        calls.append(gens)
+        return original(gens, *args, **kwargs)
+
+    monkeypatch.setattr(germcalc.invariants, "oracle_colength", counted)
+    twin = next(p for p in CORPUS if p.endswith("twin_cusps.germ"))
+    assert milnor_icis(load_germfile(twin).X) == 9
+    assert len(calls) == 1
 
 
 def test_is_icis(fourlines, R3):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from germcalc import (INFINITE, ArtinianAlgebra, Field, GermRing,
-                      InternalError, PolyMatrix, Subquotient, Vector,
+                      InternalError, Subquotient, Vector,
                       colength, determinant, ideal_basis, ideal_product,
                       intersect, jacobian_matrix, koszul_tor,
                       matrix_rank, maximal_minors, quotient_ideal, staircase,
@@ -28,9 +28,9 @@ def contains_same_ideal(I, J):
 
 def test_jacobian_matrix(R3):
     M = jacobian_matrix([R3.parse("x^2+y^2+z^2"), R3.parse("x*y")])
-    assert M.nrows == 2 and M.ncols == 3
-    assert M.entry(0, 2) == R3.parse("2*z")
-    assert M.entry(1, 2).is_zero
+    assert len(M) == 2 and len(M[0]) == 3
+    assert M[0][2] == R3.parse("2*z")
+    assert M[1][2].is_zero
 
 
 def test_determinant(R2):
@@ -52,13 +52,20 @@ def test_maximal_minors(R3):
 # ---------------------------------------------------------------------------
 # syzygies
 
+def apply(M, v):
+    """The matrix with rows M times the column vector v."""
+    ring = M[0][0].ring
+    return Vector([sum((a * b for a, b in zip(row, v.components)), ring.zero)
+                   for row in M])
+
+
 def test_koszul_syzygy(R2):
     x, y = R2.gens()
-    M = PolyMatrix([[x, y]])
+    M = [[x, y]]
     rels = syzygies(M)
     assert rels
     for r in rels:
-        assert M.apply(r).components[0].is_zero
+        assert apply(M, r).components[0].is_zero
     # the Koszul relation (y, -x) must be among them
     sb = None
     from germcalc import standard_basis
@@ -71,7 +78,7 @@ def test_syzygies_of_jacobian_with_relations(R3):
     M = jacobian_matrix(phis)
     rels = syzygies(M)
     for r in rels:
-        image = M.apply(r)
+        image = apply(M, r)
         assert all(c.is_zero for c in image.components)
 
 
