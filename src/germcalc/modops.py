@@ -42,9 +42,18 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
     return acc
 
 
+def _shape(rows: list[list[Polynomial]]) -> tuple[int, int]:
+    """Number of rows and columns of a nonempty rectangular matrix."""
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be nonempty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    return len(rows), len(rows[0])
+
+
 def maximal_minors(rows: list[list[Polynomial]], size: int) -> list[Polynomial]:
     """All size x size minors, subsets in lexicographic order, zeros dropped."""
-    nrows, ncols = len(rows), len(rows[0])
+    nrows, ncols = _shape(rows)
     if size < 1 or size > min(nrows, ncols):
         raise ValueError(f"minor size {size} out of range for {nrows}x{ncols}")
     out = []
@@ -85,8 +94,8 @@ def syzygies(rows: list[list[Polynomial]]) -> list[Vector]:
     Standard basis of the columns augmented with unit vectors; the elements
     whose ambient block vanishes are the relations.
     """
+    r, c = _shape(rows)
     ring = rows[0][0].ring
-    r, c = len(rows), len(rows[0])
     augmented = []
     for j, col in enumerate(zip(*rows)):
         unit = [ring.one if jj == j else ring.zero for jj in range(c)]

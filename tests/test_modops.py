@@ -54,6 +54,8 @@ def test_maximal_minors(R3):
 
 def apply(M, v):
     """The matrix with rows M times the column vector v."""
+    if v.rank != len(M[0]):
+        raise ValueError("rank mismatch")
     ring = M[0][0].ring
     return Vector([sum((a * b for a, b in zip(row, v.components)), ring.zero)
                    for row in M])
@@ -80,6 +82,15 @@ def test_syzygies_of_jacobian_with_relations(R3):
     for r in rels:
         image = apply(M, r)
         assert all(c.is_zero for c in image.components)
+
+
+def test_matrix_shape_is_checked(R2):
+    x, y = R2.gens()
+    for rows in ([], [[]], [[x, y], [y]], [[x], [x, y]]):
+        with pytest.raises(ValueError):
+            syzygies(rows)
+        with pytest.raises(ValueError):
+            maximal_minors(rows, 1)
 
 
 # ---------------------------------------------------------------------------
