@@ -9,7 +9,7 @@ import sys
 import time
 
 from . import __version__
-from .germfile import Germfile, GermfileError, load_germfile
+from .germfile import Germfile, GermfileError, load_germfile, parse_field
 from .invariants import (ChainDegenerate, Germ, conjecture_scan, df_image,
                          lc_ideals)
 from .modops import InternalError
@@ -243,8 +243,10 @@ def cmd_conjecture(args) -> int:
         raise InputError("trials must be >= 0 and maxdeg positive")
     field = None
     if args.field is not None:
-        from .germfile import _parse_field
-        field = _parse_field(args.field, 0)
+        try:
+            field = parse_field(args.field)
+        except ValueError as e:
+            raise InputError(f"--field: {e}") from None
     start = time.perf_counter()
     scan = conjecture_scan(args.n, args.k, args.trials, args.maxdeg,
                            args.seed, field=field)

@@ -48,7 +48,11 @@ def parse_germfile(text: str, name: str = "") -> Germfile:
                 raise GermfileError("ring needs a field and variables", lineno)
             if len(set(parts[2:])) != len(parts[2:]):
                 raise GermfileError("duplicate variable names", lineno)
-            ring = GermRing(tuple(parts[2:]), _parse_field(parts[1], lineno))
+            try:
+                field = parse_field(parts[1])
+            except ValueError as e:
+                raise GermfileError(str(e), lineno)
+            ring = GermRing(tuple(parts[2:]), field)
         elif line.startswith("X:"):
             if ring is None:
                 raise GermfileError("X before ring declaration", lineno)
@@ -92,15 +96,13 @@ def load_germfile(path: str) -> Germfile:
         return parse_germfile(fh.read(), name=path)
 
 
-def _parse_field(tag: str, lineno: int) -> Field:
+def parse_field(tag: str) -> Field:
+    """The field named Q or Fp:p; ValueError for any other tag."""
     if tag == "Q":
         return Field()
     if tag.startswith("Fp:"):
-        try:
-            return Field(int(tag[3:]))
-        except ValueError as e:
-            raise GermfileError(str(e), lineno)
-    raise GermfileError(f"unknown field {tag!r} (expected Q or Fp:p)", lineno)
+        return Field(int(tag[3:]))
+    raise ValueError(f"unknown field {tag!r} (expected Q or Fp:p)")
 
 
 def _parse_poly(ring: GermRing, text: str, lineno: int) -> Polynomial:

@@ -130,28 +130,28 @@ def is_icis(X: ICIS):
     return Germ(X).icis
 
 
-def _tangent_matrix(X: ICIS) -> list[list[Polynomial]]:
-    """Rows of the k x (n + k^2) matrix [dphi | phi_i e_j]: the n Jacobian
-    columns, then phi_i times the j-th unit vector of O^k for i, then j."""
+def _tangent_columns(X: ICIS) -> tuple[list[Vector], list[Vector]]:
+    """The n columns of dphi in O^k, and the generators phi_i e_j of I_X O^k
+    for i, then j."""
     zero, k = X.ring.zero, X.k
-    return [row + [phi if t == j else zero for phi in X.phi for j in range(k)]
-            for t, row in enumerate(jacobian_matrix(list(X.phi)))]
+    dphi = [Vector([phi.derivative(t) for phi in X.phi]) for t in range(X.n)]
+    return dphi, [Vector([phi if t == j else zero for t in range(k)])
+                  for phi in X.phi for j in range(k)]
 
 
 def tjurina(X: ICIS):
     """Colength of O^k by (Im dphi + I_X O^k)."""
-    columns = [Vector(col) for col in zip(*_tangent_matrix(X))]
-    return colength(standard_basis(dedupe_vectors(columns)))
+    jacobian, ideal = _tangent_columns(X)
+    return colength(standard_basis(dedupe_vectors(jacobian + ideal)))
 
 
 # ---------------------------------------------------------------------------
 # tangent vector fields
 
 def theta_x(X: ICIS) -> list[Vector]:
-    """Generators of the vector fields preserving the ideal of X, as the
-    projection of the syzygies of [dphi | phi_i e_j]."""
-    rels = syzygies(_tangent_matrix(X))
-    return dedupe_vectors([Vector(v.components[:X.n]) for v in rels])
+    """Generators of the vector fields preserving the ideal of X: the xi with
+    dphi(xi) in I_X O^k."""
+    return syzygies(*_tangent_columns(X))
 
 
 def _cofactor_fields(X: ICIS) -> list[Vector]:
@@ -368,7 +368,7 @@ class Germ:
         """Tjurina number as the colength of Theta_X over its trivial part, and
         of the corresponding image ideals under df (under the generic linear
         form when there is no f)."""
-        first = Subquotient(self.X.n, self.theta, self.theta_trivial).colength()
+        first = Subquotient(self.theta, self.theta_trivial).colength()
         f = self.f if self.f is not None else self.generic_linear[1]
         phi = list(self.X.phi)
         num = df_image(f, self.theta) + phi

@@ -87,25 +87,24 @@ def dedupe_vectors(vs: list[Vector]) -> list[Vector]:
 # ---------------------------------------------------------------------------
 # syzygies
 
-def syzygies(rows: list[list[Polynomial]]) -> list[Vector]:
-    """Generators of {v : M v = 0} over the local ring, for the matrix M
-    with the given rows.
+def syzygies(columns: list[Vector], modulo: list[Vector] = ()) -> list[Vector]:
+    """Generators of {a in O^s : sum a_j columns_j in <modulo>} over the local
+    ring, for s columns of one rank r; with no modulo vectors, the relations
+    among the columns.
 
-    Standard basis of the columns augmented with unit vectors; the elements
-    whose ambient block vanishes are the relations.
+    Standard basis of the (column_j | e_j) and the (m | 0); in the
+    position-over-term ordering the elements whose first r components vanish
+    generate the preimage (Singular's modulo).
     """
-    r, c = _shape(rows)
-    ring = rows[0][0].ring
-    augmented = []
-    for j, col in enumerate(zip(*rows)):
-        unit = [ring.one if jj == j else ring.zero for jj in range(c)]
-        augmented.append(Vector(list(col) + unit))
-    sb = standard_basis(augmented)
-    out = []
-    for g in sb.generators:
-        if all(g.components[i].is_zero for i in range(r)):
-            out.append(Vector(g.components[r:]))
-    return dedupe_vectors(out)
+    if not columns:
+        raise ValueError("need at least one column")
+    ring, r, s = columns[0].ring, columns[0].rank, len(columns)
+    zero, one = ring.zero, ring.one
+    gens = [Vector(c.components + tuple(one if i == j else zero for i in range(s)))
+            for j, c in enumerate(columns)]
+    sb = standard_basis(gens + [Vector(m.components + (zero,) * s) for m in modulo])
+    return dedupe_vectors([Vector(g.components[r:]) for g in sb.generators
+                           if all(p.is_zero for p in g.components[:r])])
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +195,12 @@ def ideal_product(I: list[Polynomial], J: list[Polynomial]) -> list[Polynomial]:
 class Subquotient:
     """A module (numerator)/(denominator) inside a common free ambient."""
 
-    def __init__(self, ambient_rank: int, numerator: list[Vector],
-                 denominator: list[Vector], check: bool = True):
-        self.ambient_rank = ambient_rank
+    def __init__(self, numerator: list[Vector], denominator: list[Vector],
+                 check: bool = True):
         self.numerator = [v for v in numerator if not v.is_zero]
         self.denominator = [v for v in denominator if not v.is_zero]
-        for v in self.numerator + self.denominator:
-            if v.rank != ambient_rank:
-                raise ValueError("ambient rank mismatch")
+        if len({v.rank for v in self.numerator + self.denominator}) > 1:
+            raise ValueError("ambient rank mismatch")
         if check and self.denominator:
             if not self.numerator:
                 raise ValueError("denominator not contained in zero numerator")
@@ -218,7 +215,7 @@ class Subquotient:
     @classmethod
     def of_ideals(cls, numerator: list[Polynomial], denominator: list[Polynomial],
                   check: bool = True) -> "Subquotient":
-        return cls(1, [Vector.ideal(p) for p in numerator],
+        return cls([Vector.ideal(p) for p in numerator],
                    [Vector.ideal(p) for p in denominator], check=check)
 
     def colength(self):
@@ -226,7 +223,7 @@ class Subquotient:
         landing in the denominator."""
         if not self.numerator:
             return 0
-        if self.ambient_rank == 1:
+        if self.numerator[0].rank == 1:
             # ideal quotient: when both colengths are finite the dimension is
             # their difference, which sidesteps the syzygy computation
             num = colength(self._numerator_basis)
@@ -236,18 +233,13 @@ class Subquotient:
                 if den is INFINITE:
                     return INFINITE
                 return den - num
-        s = len(self.numerator)
-        cols = self.numerator + self.denominator
-        rels = syzygies([[v.components[i] for v in cols]
-                         for i in range(self.ambient_rank)])
-        projected = [Vector(v.components[:s]) for v in rels]
-        projected = [v for v in projected if not v.is_zero]
-        # relations always include denominator-multiples of each generator, so
-        # an empty projection only happens when the denominator is zero and the
-        # numerator is free; the quotient is then infinite for s >= 1
-        if not projected:
+        rels = syzygies(self.numerator, self.denominator)
+        # the relations always include denominator-multiples of each generator,
+        # so there are none only when the denominator is zero and the numerator
+        # is free; the quotient is then infinite
+        if not rels:
             return INFINITE
-        return colength(standard_basis(projected))
+        return colength(standard_basis(rels))
 
 
 # ---------------------------------------------------------------------------

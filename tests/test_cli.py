@@ -274,6 +274,26 @@ def test_conjecture_bad_params(capsys):
     assert code == 2
 
 
+BAD_FIELDS = {"Z": "unknown field 'Z' (expected Q or Fp:p)",
+              "Fp:4": "modulus must be prime, got 4"}
+
+
+@pytest.mark.parametrize("tag", sorted(BAD_FIELDS))
+def test_conjecture_bad_field(tag, capsys):
+    code, out, err = run(capsys, "conjecture", "--n", "2", "--k", "1",
+                         "--trials", "1", "--field", tag)
+    assert (code, out, err) == (2, "", f"error: --field: {BAD_FIELDS[tag]}\n")
+
+
+@pytest.mark.parametrize("tag", ["Q", "Fp:7"])
+def test_conjecture_field(tag, capsys):
+    code, out, _ = run(capsys, "conjecture", "--n", "2", "--k", "1",
+                       "--trials", "1", "--field", tag, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["rows"]) == 1 and doc["euler_all_zero"] is True
+
+
 # ---------------------------------------------------------------------------
 # lc and oracle
 

@@ -2,6 +2,7 @@
 subquotient colength, and Koszul homology."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -12,15 +13,21 @@ from germcalc import (INFINITE, ArtinianAlgebra, Field, GermRing,
                       colength, determinant, ideal_basis, ideal_product,
                       intersect, jacobian_matrix, koszul_tor,
                       matrix_rank, maximal_minors, quotient_ideal, staircase,
-                      syzygies)
+                      load_germfile, standard_basis, syzygies)
+from germcalc.invariants import _tangent_columns
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def same_module(A, B):
+    """Double inclusion of modules given by generator lists."""
+    sbA, sbB = standard_basis(A), standard_basis(B)
+    return all(sbA.contains(v) for v in B) and all(sbB.contains(v) for v in A)
 
 
 def contains_same_ideal(I, J):
     """Double inclusion of ideals given by generator lists."""
-    sbI = ideal_basis(I)
-    sbJ = ideal_basis(J)
-    return (all(sbI.contains(Vector.ideal(g)) for g in J)
-            and all(sbJ.contains(Vector.ideal(g)) for g in I))
+    return same_module([Vector.ideal(g) for g in I], [Vector.ideal(g) for g in J])
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +71,11 @@ def apply(M, v):
 def test_koszul_syzygy(R2):
     x, y = R2.gens()
     M = [[x, y]]
-    rels = syzygies(M)
+    rels = syzygies([Vector(c) for c in zip(*M)])
     assert rels
     for r in rels:
         assert apply(M, r).components[0].is_zero
     # the Koszul relation (y, -x) must be among them
-    sb = None
-    from germcalc import standard_basis
     sb = standard_basis(rels)
     assert sb.contains(Vector((y, -x)))
 
@@ -78,17 +83,37 @@ def test_koszul_syzygy(R2):
 def test_syzygies_of_jacobian_with_relations(R3):
     phis = [R3.parse("x^2+y^2+z^2"), R3.parse("x*y")]
     M = jacobian_matrix(phis)
-    rels = syzygies(M)
+    rels = syzygies([Vector(c) for c in zip(*M)])
     for r in rels:
         image = apply(M, r)
         assert all(c.is_zero for c in image.components)
 
 
+@pytest.mark.parametrize("name", ["worked", "twin_cusps", "fp_worked",
+                                  "nonwh_space", "ideals"])
+def test_syzygies_modulo_is_the_projected_syzygies(name, R2):
+    """The relations modulo a submodule are the first s components of the
+    relations among the columns and the modulo vectors together."""
+    if name == "ideals":
+        x, y = R2.gens()
+        columns = [Vector((x,)), Vector((y,))]
+        modulo = [Vector((R2.parse(p),)) for p in ("x^2", "x*y", "y^3")]
+    else:
+        X = load_germfile(os.path.join(CORPUS, f"{name}.germ")).X
+        columns, modulo = _tangent_columns(X)
+    s = len(columns)
+    projected = [Vector(v.components[:s]) for v in syzygies(columns + modulo)]
+    assert same_module(syzygies(columns, modulo),
+                       [v for v in projected if not v.is_zero])
+
+
 def test_matrix_shape_is_checked(R2):
     x, y = R2.gens()
-    for rows in ([], [[]], [[x, y], [y]], [[x], [x, y]]):
+    for columns, modulo in (([], []), ([Vector((x,)), Vector((x, y))], []),
+                            ([Vector((x, y))], [Vector((x,))])):
         with pytest.raises(ValueError):
-            syzygies(rows)
+            syzygies(columns, modulo)
+    for rows in ([], [[]], [[x, y], [y]], [[x], [x, y]]):
         with pytest.raises(ValueError):
             maximal_minors(rows, 1)
 
@@ -144,7 +169,13 @@ def test_subquotient_module(R2):
     e2 = Vector((R2.zero, R2.one))
     num = [e1, e2]
     den = [e1.mul_poly(x), e1.mul_poly(y), e2.mul_poly(x), e2.mul_poly(y)]
-    assert Subquotient(2, num, den).colength() == 2
+    assert Subquotient(num, den).colength() == 2
+
+
+def test_subquotient_rank_mismatch(R2):
+    x, y = R2.gens()
+    with pytest.raises(ValueError, match="ambient rank mismatch"):
+        Subquotient([Vector((x,))], [Vector((x, y))], check=False)
 
 
 def test_subquotient_infinite(R2):
