@@ -338,6 +338,8 @@ def _corpus_item(path: str) -> dict:
 def cmd_corpus(args) -> int:
     import glob
     import os
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     paths = sorted(glob.glob(os.path.join(args.directory, "*.germ")))
     if not paths:
         raise InputError(f"no .germ files in {args.directory}")
@@ -426,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GermfileError, ParseError, InputError, OSError,
             ChainDegenerate, InternalError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_FAIL if isinstance(e, InternalError) else EXIT_INPUT
     except DegreeCapExceeded as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE

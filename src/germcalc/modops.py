@@ -7,10 +7,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .ring import (BlockOrder, DegRevLex, GermRing, NegDegRevLex, Polynomial,
-                   mono_deg, mono_div)
-from .stdbasis import (INFINITE, Vector, colength, ideal_basis, mora_divide,
-                       staircase, standard_basis)
+from .ring import Polynomial, mono_deg, mono_div
+from .stdbasis import (INFINITE, Vector, colength, ideal_basis, staircase,
+                       standard_basis)
 
 
 class InternalError(RuntimeError):
@@ -108,81 +107,32 @@ def syzygies(columns: list[Vector], modulo: list[Vector] = ()) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# elimination: intersection and quotient
-
-AUX_NAME = "@t"
-
-
-def _aux_ring(ring: GermRing) -> GermRing:
-    """Adjoin one global auxiliary variable in front of the existing block(s)."""
-    if isinstance(ring.order, BlockOrder):
-        blocks = [(0, 1, DegRevLex())]
-        blocks += [(lo + 1, hi + 1, sub) for lo, hi, sub in ring.order.blocks]
-        order = BlockOrder(blocks)
-    elif isinstance(ring.order, NegDegRevLex):
-        order = BlockOrder([(0, 1, DegRevLex()), (1, ring.nvars + 1, NegDegRevLex())])
-    else:
-        raise ValueError(f"cannot extend ordering {ring.order!r}")
-    return GermRing((AUX_NAME,) + ring.names, ring.field, order)
-
-
-def _strip_aux(p: Polynomial, ring: GermRing) -> Polynomial | None:
-    """Map back to the base ring; None when the aux variable occurs."""
-    d = {}
-    for m, c in p.terms:
-        if m[0] != 0:
-            return None
-        d[m[1:]] = c
-    return ring.from_dict(d)
-
+# intersection and quotient: relations modulo a submodule
 
 def intersect(I: list[Polynomial], J: list[Polynomial]) -> list[Polynomial]:
-    """Generators of the intersection of two ideals of the localized ring,
-    via one global elimination variable t and <t*I, (1-t)*J>."""
+    """Generators of the intersection of two ideals of the localized ring:
+    the a with (a, a) in I x J inside O^2."""
     I = [p for p in I if not p.is_zero]
     J = [p for p in J if not p.is_zero]
     if not I or not J:
         return []
     ring = I[0].ring
-    ext = _aux_ring(ring)
-    t = ext.var(0)
-    var_map = list(range(1, ring.nvars + 1))
-    gens = [t * p.map_to(ext, var_map) for p in I]
-    gens += [(ext.one - t) * p.map_to(ext, var_map) for p in J]
-    sb = ideal_basis(gens)
-    out = []
-    for g in sb.generators:
-        stripped = _strip_aux(g.components[0], ring)
-        if stripped is not None:
-            out.append(stripped)
-    return dedupe(out)
-
-
-def quotient_by_element(I: list[Polynomial], g: Polynomial) -> list[Polynomial]:
-    """I : <g>, from generators of the intersection with <g> divided by g."""
-    if g.is_zero:
-        raise ValueError("colon by zero")
-    inter = intersect(I, [g])
-    out = []
-    gv = [Vector.ideal(g)]
-    for w in inter:
-        r, _, qs = mora_divide(Vector.ideal(w), gv)
-        if not r.is_zero:
-            raise InternalError("nonzero remainder dividing an intersection generator")
-        out.append(qs[0])
-    return dedupe(out)
+    zero = ring.zero
+    rels = syzygies([Vector((ring.one, ring.one))],
+                    [Vector((g, zero)) for g in I] + [Vector((zero, h)) for h in J])
+    return [v.components[0] for v in rels]
 
 
 def quotient_ideal(I: list[Polynomial], J: list[Polynomial]) -> list[Polynomial]:
-    """Quotient ideal I : J as the intersection of the single-element colons."""
+    """Quotient ideal I : J for J = (h_1..h_m): the a with (a h_1, .., a h_m)
+    in I*O^m, the submodule generated by the g e_j."""
     J = [p for p in J if not p.is_zero]
     if not J:
         raise ValueError("colon by the zero ideal")
-    result = None
-    for g in J:
-        part = quotient_by_element(I, g)
-        result = part if result is None else intersect(result, part)
-    return result
+    zero, m = J[0].ring.zero, len(J)
+    modulo = [Vector(tuple(g if i == j else zero for i in range(m)))
+              for g in I for j in range(m)]
+    return [v.components[0] for v in syzygies([Vector(J)], modulo)]
 
 
 def ideal_product(I: list[Polynomial], J: list[Polynomial]) -> list[Polynomial]:

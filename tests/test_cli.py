@@ -358,6 +358,21 @@ def test_oracle_disagreement_fails(e7_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_route_disagreement_fails(worked_path, capsys, monkeypatch):
+    monkeypatch.setattr(germcalc.invariants, "koszul_tor",
+                        lambda I, J: [0, 99])
+    code, out, err = run(capsys, "compute", worked_path, "--invariants",
+                         "tor1", "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: Tor1 routes disagree: subquotient 2, Koszul 99\n"
+    # corpus reports it as an error item
+    code, out, _ = run(capsys, "corpus", os.path.dirname(worked_path), "--json")
+    assert code == 1
+    [item] = json.loads(out)["items"]
+    assert item["verdict"] == "ERROR" and "Koszul 99" in item["error"]
+
+
 # ---------------------------------------------------------------------------
 # corpus
 
@@ -397,6 +412,15 @@ def test_corpus_text_summary(small_corpus, capsys):
     assert text.splitlines() == [
         f"{os.path.join(small_corpus, name)}.germ: PASS"
         for name in ("a2_cusp", "d4", "e7")] + ["verdict: PASS"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_corpus_workers_below_one_is_an_input_error(workers, small_corpus,
+                                                    capsys):
+    code, out, err = run(capsys, "corpus", small_corpus, "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--workers" in err
 
 
 def test_corpus_empty_dir(tmp_path, capsys):
@@ -455,14 +479,18 @@ def test_corpus_lc_matches_golden(tmp_path, capsys):
     for path in sorted(glob.glob(os.path.join(CORPUS, "*.germ"))):
         code, _, err = run(capsys, "lc", path, "--out", str(out_path))
         if code == 3:
-            # nonwh_space: the elimination basis behind LC(X)^- in the
-            # doubled ring reaches the degree cap
+            # nonwh_space: the colon's relations-kernel basis behind LC(X)^-
+            # in the doubled ring reaches the degree cap (in about 1 s)
             assert err.startswith("resource cap:")
             continue
         assert code == 0, path
         got[os.path.basename(path)] = json.loads(out_path.read_text())
     assert sorted(got) == sorted(golden)
     for name in golden:
+        # lcMinus is a generating set of LC(X)^-, not a canonical list: the
+        # same generators, exactly, in any order
+        for doc in (got[name], golden[name]):
+            doc["lcMinus"] = sorted(doc["lcMinus"])
         assert got[name] == golden[name], name
 
 

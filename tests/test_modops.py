@@ -14,7 +14,7 @@ from germcalc import (INFINITE, ArtinianAlgebra, Field, GermRing,
                       intersect, jacobian_matrix, koszul_tor,
                       matrix_rank, maximal_minors, quotient_ideal, staircase,
                       load_germfile, standard_basis, syzygies)
-from germcalc.invariants import _tangent_columns
+from germcalc.invariants import _cotangent_ring, _tangent_columns
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -130,14 +130,27 @@ def test_intersect_principal(R2):
 def test_intersect_nontrivial(R2):
     I = intersect([R2.parse("x^2"), R2.parse("y")], [R2.parse("x")])
     assert contains_same_ideal(I, [R2.parse("x^2"), R2.parse("x*y")])
+    # a global fiber variable above the local block
+    P = _cotangent_ring(R2)
+    I = intersect([P.parse("x*p1")], [P.parse("p1^2")])
+    assert contains_same_ideal(I, [P.parse("x*p1^2")])
 
 
-def test_quotient_ideal(R2):
+def test_quotient_ideal(R2, R3p):
     x, y = R2.gens()
     Q = quotient_ideal([x * y, y * y], [y])
     assert contains_same_ideal(Q, [x, y])
     Q2 = quotient_ideal([x], [x])
     assert contains_same_ideal(Q2, [R2.one])
+    # a colon by two generators, over Q and over F_32003
+    for R in (R2, R3p):
+        Q = quotient_ideal([R.parse("x^2"), R.parse("y^2")],
+                           [R.parse("x"), R.parse("y")])
+        assert contains_same_ideal(Q, [R.parse(g) for g in ("x^2", "x*y", "y^2")])
+    P = _cotangent_ring(R2)
+    Q = quotient_ideal([P.parse("x*p1"), P.parse("y*p2")],
+                       [P.parse("p1"), P.parse("p2")])
+    assert contains_same_ideal(Q, [P.parse(g) for g in ("x*y", "x*p1", "y*p2")])
 
 
 def test_ideal_product(R2):
