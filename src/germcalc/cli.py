@@ -295,8 +295,6 @@ def cmd_lc(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
-    if args.object != "colength":
-        raise InputError(f"unknown oracle {args.object!r}")
     if args.truncation < 2:
         # one truncation degree has no second value to stabilize against
         raise InputError("truncation must be at least 2")

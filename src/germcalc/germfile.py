@@ -4,8 +4,8 @@ Format:
     # comment
     ring <Q|Fp:p> <var> <var> ...
     X: <poly>, <poly>, ...
-    f: <poly>
-    options: key[=value], key[=value], ...
+    f: <poly>    (vanishes at 0, nonzero; fewer X: equations than variables)
+    options: weighted_homogeneous
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Germfile:
 def parse_germfile(text: str, name: str = "") -> Germfile:
     ring = None
     phis: list[Polynomial] | None = None
-    f = None
+    f = f_line = None
     options: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -70,23 +70,26 @@ def parse_germfile(text: str, name: str = "") -> Germfile:
                 raise GermfileError("f before ring declaration", lineno)
             if f is not None:
                 raise GermfileError("duplicate f: line", lineno)
-            f = _parse_poly(ring, line[2:], lineno)
+            f, f_line = _parse_poly(ring, line[2:], lineno), lineno
+            if f.is_zero or f.is_unit:
+                raise GermfileError("f: must vanish at 0 and be nonzero", lineno)
         elif line.startswith("options:"):
             for chunk in line[len("options:"):].split(","):
                 chunk = chunk.strip()
                 if not chunk:
                     continue
-                if "=" in chunk:
-                    key, _, value = chunk.partition("=")
-                    options[key.strip()] = value.strip()
-                else:
-                    options[chunk] = True
+                if chunk != "weighted_homogeneous":
+                    raise GermfileError(f"unknown option {chunk!r} (expected the "
+                                        "bare flag weighted_homogeneous)", lineno)
+                options[chunk] = True
         else:
             raise GermfileError(f"unrecognized line {line!r}", lineno)
     if ring is None:
         raise GermfileError("missing ring declaration", 0)
     if not phis:
         raise GermfileError("missing X: generators", 0)
+    if f is not None and len(phis) >= ring.nvars:
+        raise GermfileError("f: needs fewer X: equations than variables", f_line)
     return Germfile(ring=ring, X=ICIS(tuple(phis)), f=f, options=options,
                     name=name)
 

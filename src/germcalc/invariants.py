@@ -21,7 +21,8 @@ from .modops import (InternalError, Subquotient, dedupe, dedupe_vectors,
 
 
 class ChainDegenerate(RuntimeError):
-    """Every attempted generator combination broke the Milnor-number chain."""
+    """No Milnor number: every generator combination broke the chain, or the
+    section of X by f is not isolated."""
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,8 @@ def milnor_chain(phis: list[Polynomial]):
     retrying with nine seeded random generator recombinations when a truncated
     chain degenerates."""
     rng = random.Random(0)
-    candidates = [list(phis)]
-    candidates += [_random_mix(list(phis), rng) for _ in range(9)]
-    for cand in candidates:
+    for cand in itertools.chain(
+            [list(phis)], (_random_mix(list(phis), rng) for _ in range(9))):
         try:
             chain = _chain_colengths(cand)
         except DegreeCapExceeded:
@@ -207,7 +207,7 @@ def br_minus_formula(f: Polynomial, X: ICIS):
 
 def section_milnor(f: Polynomial, X: ICIS):
     """Milnor number of the slice of X by f."""
-    return milnor_chain(list(X.phi) + [f])
+    return Germ(X, f).mu_section
 
 
 def tor1_dimension(I: list[Polynomial], J: list[Polynomial]):
@@ -277,8 +277,17 @@ class Germ:
         return ideal_colength(self.jf)
 
     @cached_property
+    def polar_colength(self):
+        """colength(J(f,phi) + I_X), the Le-Greuel step from X to its section
+        by f: mu(X) + mu(X cap f^-1(0)) when finite."""
+        return _chain_step_colength(relative_jacobian_ideal(self.f, self.X)
+                                    + list(self.X.phi))
+
+    @cached_property
     def mu_section(self):
-        return section_milnor(self.f, self.X)
+        if self.polar_colength is INFINITE:
+            raise ChainDegenerate("the section of X by f is not isolated")
+        return self.polar_colength - self.mu_X
 
     @cached_property
     def mixed(self):
@@ -298,8 +307,7 @@ class Germ:
     @cached_property
     def br_minus_formula(self):
         """colength(J(f,phi) + I_X) - tau; INFINITE when f is not finite on X."""
-        c = ideal_colength(relative_jacobian_ideal(self.f, self.X)
-                           + list(self.X.phi))
+        c = self.polar_colength
         return INFINITE if c is INFINITE else c - self.tau_X
 
     @cached_property
@@ -333,7 +341,8 @@ class Germ:
     @cached_property
     def relative_identity(self) -> dict:
         """Slice Milnor number against relative Bruce-Roberts minus Milnor plus
-        Tjurina, both sides computed independently."""
+        Tjurina, by independent routes: the Le-Greuel colength of
+        J(f,phi) + I_X on the left, muBR^- through Theta_X on the right."""
         lhs, brm = self.mu_section, self.br_minus_direct
         mu, tau = self.mu_X, self.tau_X
         rhs = None
@@ -356,8 +365,7 @@ class Germ:
                 continue
             p = sum((ring.constant(c) * ring.var(i) for i, c in enumerate(coeffs)),
                     ring.zero)
-            m = ideal_colength(relative_jacobian_ideal(p, self.X)
-                               + list(self.X.phi))
+            m = Germ(self.X, p).polar_colength
             if m is not INFINITE and (best is None or m < best[0]):
                 best = (m, p)
         if best is None:

@@ -197,11 +197,6 @@ class BlockOrder(MonomialOrder):
         return f"BlockOrder({list(self.blocks)!r})"
 
 
-def elimination_block(aux: int, nvars: int) -> BlockOrder:
-    """aux leading global variables above a local block of the remaining ones."""
-    return BlockOrder([(0, aux, DegRevLex()), (aux, nvars, NegDegRevLex())])
-
-
 # ---------------------------------------------------------------------------
 # the ring and its elements
 
@@ -304,16 +299,9 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
 
-    def lead_mono(self) -> tuple:
-        return self.terms[0][0]
-
     def max_degree(self) -> int:
         """Largest total degree of a term (-1 for zero)."""
         return max((mono_deg(m) for m, _ in self.terms), default=-1)
-
-    def ord_degree(self) -> int:
-        """Total degree of the leading monomial (-1 for zero)."""
-        return mono_deg(self.terms[0][0]) if self.terms else -1
 
     def constant_coeff(self):
         z = (0,) * self.ring.nvars
@@ -470,7 +458,7 @@ def _render_term(ring: GermRing, m: tuple, c, lead: bool) -> str:
         s = f"{cstr}*{body}"
     if lead:
         if neg:
-            # the grammar has no unary minus on idents, so fold it into a rational
+            # a negative lead keeps its coefficient (-1*x), the stored text form
             return f"-{cstr}*{body}" if body else f"-{cstr}"
         return s
     return ("-" if neg else "+") + s
@@ -495,7 +483,8 @@ class ParseError(ValueError):
 
 class _Parser:
     """Recursive descent for: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := base ('^' nat)?; base := rational | ident | '(' expr ')'."""
+    factor := '-'* base ('^' nat)?; base := rational | ident | '(' expr ')'.
+    A unary minus binds looser than '^': -x^2 is -(x^2)."""
 
     def __init__(self, text: str, ring: GermRing):
         self.text = text
@@ -503,7 +492,10 @@ class _Parser:
         self.pos = 0
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        try:
+            p = self.expr()
+        except RecursionError:
+            raise ParseError("nesting too deep", self.pos) from None
         self.skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
@@ -538,11 +530,15 @@ class _Parser:
         return p
 
     def factor(self) -> Polynomial:
+        negate = False
+        while self.peek() == "-":
+            self.pos += 1
+            negate = not negate
         p = self.base()
         if self.peek() == "^":
             self.pos += 1
-            return p ** self.nat()
-        return p
+            p = p ** self.nat()
+        return -p if negate else p
 
     def base(self) -> Polynomial:
         ch = self.peek()
@@ -553,7 +549,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return p
-        if ch.isdigit() or ch == "-":
+        if ch.isdigit():
             return self.rational()
         if ch.isalpha() or ch == "_":
             return self.ident()
@@ -561,12 +557,6 @@ class _Parser:
 
     def rational(self) -> Polynomial:
         start = self.pos
-        sign = 1
-        if self.peek() == "-":
-            self.pos += 1
-            sign = -1
-            if not self.peek().isdigit():
-                raise ParseError("expected digits after '-'", self.pos)
         num = self.nat()
         den = 1
         if self.peek() == "/":
@@ -577,7 +567,7 @@ class _Parser:
             if den == 0:
                 raise ParseError("zero denominator", start)
         try:
-            c = self.ring.field.from_fraction(sign * num, den)
+            c = self.ring.field.from_fraction(num, den)
         except ZeroDivisionError as e:
             raise ParseError(str(e), start)
         return _const(self.ring, c)

@@ -74,7 +74,14 @@ def test_parse_germfile_errors():
                        ("ring Q x\nX: x, x^2\n", 2),
                        ("ring Q x y\nX: x\nX: y\n", 3),
                        ("ring Q x y\nX: x\nf: y\nf: x\n", 4),
-                       ("ring Q x y\n\nX: x, 1+x\n", 3)):
+                       ("ring Q x y\n\nX: x, 1+x\n", 3),
+                       # f must vanish at 0 and be nonzero
+                       ("ring Q x y\nX: x^2+y^3\nf: 1+x\n", 3),
+                       ("ring Q x y\nX: x^2+y^3\nf: 0\n", 3),
+                       ("ring Q x y\nf: 1\nX: x^2+y^3\n", 2),
+                       # options are bare flags the program reads
+                       ("ring Q x y\nX: x^2+y^3\noptions: weighted_homogeneous=no\n", 3),
+                       ("ring Q x y\nX: x^2+y^3\noptions: weighted_homogenous\n", 3)):
         with pytest.raises(GermfileError) as err:
             parse_germfile(text)
         assert err.value.line == line
@@ -139,6 +146,26 @@ def test_compute_unit_generator_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "line 2" in err and "unit" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_f_needs_fewer_equations_than_variables(tmp_path, capsys, command):
+    p = tmp_path / "point.germ"
+    p.write_text("ring Q x\nf: x\nX: x^2\n")
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "line 2" in err and "f:" in err
+
+
+def test_non_isolated_section_is_an_input_error(tmp_path, capsys):
+    # on the cone X, f restricts to x^3: the section is a triple pair of lines
+    p = tmp_path / "cone.germ"
+    p.write_text("ring Q x y z\nX: x^2+y^2+z^2\nf: x^2+y^2+z^2+x^3\n")
+    code, out, err = run(capsys, "compute", str(p), "--invariants", "muSection")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "section" in err
 
 
 def test_compute_missing_file(capsys):
@@ -509,5 +536,6 @@ def test_verify_computes_each_invariant_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     gf = load_germfile(os.path.join(CORPUS, "worked.germ"))
     assert verify_report(gf, list(ALL_IDENTITIES))["verdict"] == "PASS"
-    # milnor_chain runs for X and for the section of X by f
-    assert calls == {"tjurina": 1, "milnor_chain": 2, "theta_x": 1}
+    # milnor_chain runs for X only: the section's Milnor number is the
+    # Le-Greuel colength of J(f,phi) + I_X minus mu(X)
+    assert calls == {"tjurina": 1, "milnor_chain": 1, "theta_x": 1}

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germcalc import (ICIS, INFINITE, Field, Germ, GermRing, Vector, br_minus_formula,
-                      colength, conjecture_scan, df_image, ideal_basis, is_icis,
-                      jacobian_ideal, lc_ideals, milnor_icis, milnor_number,
+from germcalc import (ICIS, INFINITE, ChainDegenerate, Field, Germ, GermRing, Vector,
+                      br_minus_formula, colength, conjecture_scan, df_image,
+                      ideal_basis, is_icis, jacobian_ideal, lc_ideals,
+                      milnor_chain, milnor_icis, milnor_number,
                       render, section_milnor, standard_basis, theta_x,
                       theta_x_trivial, tjurina, tor1_dimension)
 import germcalc.invariants
@@ -299,3 +300,29 @@ def test_rationals_and_prime_field_agree(a, b, c, i, j, u, v):
         ok, certificate = germ.icis
         values.append((certificate, session_values(germ) if ok else None))
     assert values[0] == values[1]
+
+
+def milnor_or_degenerate(compute):
+    try:
+        return compute()
+    except ChainDegenerate:
+        return ChainDegenerate
+
+
+@given(st.integers(2, 6), st.integers(2, 6), small, st.integers(1, 3),
+       st.integers(1, 3), small, small, st.sampled_from(("Q", "Fp:32003")),
+       st.permutations(range(2)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_le_greuel_section_matches_the_chain(a, b, c, i, j, u, v, field, order):
+    # the germfiles of test_rationals_and_prime_field_agree; the permutation
+    # of the two equations decides which one cuts out X and which one is f;
+    # fewer than 100 draws reach no X with tau(X) < mu(X)
+    gf = parse_germfile(f"ring {field} x y\nX: x^{a}+y^{b}{c:+d}*x^{i}*y^{j}\n"
+                        f"f: x*y{u:+d}*x{v:+d}*y\n")
+    gens = [gf.X.phi[0], gf.f]
+    X, f = ICIS((gens[order[0]],)), gens[order[1]]
+    if not Germ(X).icis[0]:
+        return
+    # the chain through X and f, a route the session no longer takes
+    assert milnor_or_degenerate(lambda: Germ(X, f).mu_section) == \
+        milnor_or_degenerate(lambda: milnor_chain(list(X.phi) + [f]))
