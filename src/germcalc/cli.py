@@ -10,8 +10,8 @@ import time
 
 from . import __version__
 from .germfile import Germfile, GermfileError, load_germfile, parse_field
-from .invariants import (ChainDegenerate, Germ, conjecture_scan, df_image,
-                         lc_ideals)
+from .invariants import (ChainDegenerate, Germ, InputError, conjecture_scan,
+                         df_image, lc_ideals)
 from .modops import InternalError
 from .ring import ParseError, render
 from .stdbasis import (INFINITE, DegreeCapExceeded, Sentinel, degree_cap,
@@ -26,10 +26,6 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 ALL_IDENTITIES = ("t22", "t46", "c412", "c49", "p47", "p41", "cor23")
-
-
-class InputError(ValueError):
-    pass
 
 
 def jsonable(value):

@@ -103,7 +103,7 @@ def parse_field(tag: str) -> Field:
     """The field named Q or Fp:p; ValueError for any other tag."""
     if tag == "Q":
         return Field()
-    if tag.startswith("Fp:"):
+    if tag.startswith("Fp:") and tag[3:].isdecimal():
         return Field(int(tag[3:]))
     raise ValueError(f"unknown field {tag!r} (expected Q or Fp:p)")
 

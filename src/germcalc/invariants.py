@@ -20,6 +20,10 @@ from .modops import (InternalError, Subquotient, dedupe, dedupe_vectors,
                      syzygies)
 
 
+class InputError(ValueError):
+    """A request the input makes impossible to answer."""
+
+
 class ChainDegenerate(RuntimeError):
     """No Milnor number: every generator combination broke the chain, or the
     section of X by f is not isolated."""
@@ -51,8 +55,7 @@ class ICIS:
 
 
 def jacobian_ideal(f: Polynomial) -> list[Polynomial]:
-    return [f.derivative(i) for i in range(f.ring.nvars)
-            if not f.derivative(i).is_zero]
+    return [d for d in (f.derivative(i) for i in range(f.ring.nvars)) if not d.is_zero]
 
 
 def milnor_number(f: Polynomial):
@@ -404,7 +407,11 @@ class LCBundle:
 def _cotangent_ring(ring: GermRing) -> GermRing:
     """Adjoin global fiber variables p1..pn above the local base block."""
     n = ring.nvars
-    names = ring.names + tuple(f"p{i + 1}" for i in range(n))
+    fiber = tuple(f"p{i + 1}" for i in range(n))
+    clash = next((v for v in ring.names if v in fiber), None)
+    if clash is not None:
+        raise InputError(f"variable {clash!r} clashes with the fiber variables p1..p{n}")
+    names = ring.names + fiber
     order = BlockOrder([(n, 2 * n, DegRevLex()), (0, n, NegDegRevLex())])
     return GermRing(names, ring.field, order)
 

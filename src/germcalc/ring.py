@@ -21,28 +21,22 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The rationals (p is None) or the prime field of p elements.
 
-    Rational values are `Fraction`s (always in lowest terms with positive
-    denominator); prime-field values are ints in [0, p).
+    A rational value is an `int` or a `Fraction` (in lowest terms with
+    positive denominator); the two compare, hash and render alike.
+    Prime-field values are ints in [0, p).
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
+        self.zero, self.one = 0, 1
 
     @property
     def tag(self) -> str:
         return "Q" if self.p is None else f"Fp:{self.p}"
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
 
     def from_fraction(self, num: int, den: int = 1):
         if self.p is None:
@@ -68,7 +62,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("division by zero in Q")
-            return 1 / a
+            return Fraction(1) / a
         if a % self.p == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return pow(a, -1, self.p)
@@ -317,6 +311,10 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._lift(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         F = self.ring.field
         d = dict(self.terms)
         for m, c in other.terms:
@@ -369,7 +367,7 @@ class Polynomial:
     def mul_term(self, m: tuple, c) -> "Polynomial":
         """Multiply by the single term c*x^m (c a field element)."""
         F = self.ring.field
-        if c == F.zero:
+        if not self.terms or c == F.zero:
             return self.ring.zero
         return Polynomial(self.ring,
                           tuple((mono_mul(t, m), F.mul(tc, c)) for t, tc in self.terms))
@@ -416,7 +414,7 @@ class Polynomial:
 
     def _lift(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         return self.ring.constant(other)

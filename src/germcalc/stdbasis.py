@@ -8,9 +8,10 @@ standard basis doubles as a component-elimination basis for syzygy extraction.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import os
-from math import gcd
+from math import gcd, lcm
 
 from .ring import (GermRing, NegDegRevLex, Polynomial, mono_deg, mono_div,
                    mono_lcm, mono_mul)
@@ -75,14 +76,18 @@ class _Budget:
 
 
 class Vector:
-    """Element of a free module O^r, stored as r polynomials."""
+    """Element of a free module O^r, stored as r polynomials.
 
-    __slots__ = ("components",)
+    Immutable: the lead and the ecart are computed on first use and kept.
+    """
+
+    __slots__ = ("components", "_lead", "_ecart")
 
     def __init__(self, components):
         self.components = tuple(components)
         if not self.components:
             raise ValueError("rank must be at least 1")
+        self._lead = self._ecart = None
 
     @classmethod
     def ideal(cls, p: Polynomial) -> "Vector":
@@ -102,18 +107,20 @@ class Vector:
 
     def lead(self):
         """(component, monomial, coefficient) of the POT-leading term."""
-        for i, p in enumerate(self.components):
-            if not p.is_zero:
-                m, c = p.lead()
-                return i, m, c
-        raise ValueError("zero vector has no leading term")
+        if self._lead is None:
+            i = next((i for i, p in enumerate(self.components) if p.terms), None)
+            if i is None:
+                raise ValueError("zero vector has no leading term")
+            self._lead = (i,) + self.components[i].terms[0]
+        return self._lead
 
     def max_degree(self) -> int:
         return max((p.max_degree() for p in self.components), default=-1)
 
     def ecart(self) -> int:
-        _, m, _ = self.lead()
-        return self.max_degree() - mono_deg(m)
+        if self._ecart is None:
+            self._ecart = self.max_degree() - mono_deg(self.lead()[1])
+        return self._ecart
 
     def __add__(self, other):
         return Vector(tuple(a + b for a, b in zip(self.components, other.components)))
@@ -131,21 +138,29 @@ class Vector:
         return Vector(tuple(p * q for p in self.components))
 
     def normalized(self) -> "Vector":
-        """Scale by a constant: monic over F_p, integer content 1 and positive
-        leading coefficient over Q."""
+        """Scale by a constant: monic over F_p; over Q, int coefficients of
+        content 1 and a positive lead, which depend only on the Q-line."""
         if self.is_zero:
             return self
         F = self.ring.field
         _, _, lc = self.lead()
         if F.p is not None:
             return self.scale(F.inv(lc))
-        num = 0
-        den = 1
+        num, den, ints = 0, 1, True
         for p in self.components:
             for _, c in p.terms:
+                if type(c) is not int:
+                    ints = False
+                    den = lcm(den, c.denominator)
                 num = gcd(num, c.numerator)
-                den = den * c.denominator // gcd(den, c.denominator)
-        return self.scale(F.from_fraction(den if lc > 0 else -den, num))
+        if lc < 0:
+            num = -num
+        if ints and num == 1:
+            return self
+        return Vector(tuple(
+            Polynomial(p.ring, tuple((m, c.numerator * (den // c.denominator) // num)
+                                     for m, c in p.terms))
+            for p in self.components))
 
     def __eq__(self, other):
         return isinstance(other, Vector) and self.components == other.components
@@ -184,6 +199,7 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
     if cap is None:
         cap = degree_cap()
     F = v.ring.field
+    rational = F.p is None
     h = v if corner is None else _truncated(v, corner)
     T = [(g, g.lead(), g.ecart()) for g in basis if not g.is_zero]
     while not h.is_zero:
@@ -199,7 +215,13 @@ def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
         if budget is not None:
             budget.spend()
         _, mh, ah = h_lead
-        h = h - g.mul_term(mono_div(mh, mg), F.div(ah, ag))
+        q = mono_div(mh, mg)
+        if rational and type(ag) is int and type(ah) is int:
+            # fraction-free: the Q-line of h - (ah/ag)*x^q*g, with int coefficients
+            d = gcd(ag, ah)
+            h = (h if ag == d else h.scale(ag // d)) - g.mul_term(q, ah // d)
+        else:
+            h = h - g.mul_term(q, F.div(ah, ag))
         if corner is not None:
             h = _truncated(h, corner)
         if not h.is_zero:
@@ -246,7 +268,7 @@ class StandardBasis:
         return self.generators[0].ring
 
     def leading_module(self):
-        return [(g.lead()[0], g.lead()[1]) for g in self.generators]
+        return [g.lead()[:2] for g in self.generators]
 
     def normal_form(self, v: Vector) -> Vector:
         return mora_normal_form(v, self.generators, corner=self.corner)
@@ -343,19 +365,22 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
 
     if local_ideal:
         corner = tighten(corner)
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if G[i].lead()[0] == G[j].lead()[0]}
+    pairs = []
 
-    def pair_key(p):
-        i, j = p
-        L = mono_lcm(G[i].lead()[1], G[j].lead()[1])
-        # lowest-degree lcm first keeps local computations shallow; the
-        # ordering key and the input indices make the choice deterministic
-        return (mono_deg(L), ring.mono_key(L), i, j)
+    def add_pairs(k):
+        ck, mk, _ = G[k].lead()
+        for i in range(k):
+            ci, mi, _ = G[i].lead()
+            if ci == ck:
+                L = mono_lcm(mi, mk)
+                # lowest-degree lcm first keeps local computations shallow; the
+                # ordering key and the input indices make the choice deterministic
+                heapq.heappush(pairs, (mono_deg(L), ring.mono_key(L), i, k))
 
+    for k in range(1, len(G)):
+        add_pairs(k)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _, _, i, j = heapq.heappop(pairs)
         _, mi, _ = G[i].lead()
         _, mj, _ = G[j].lead()
         L = mono_lcm(mi, mj)
@@ -373,12 +398,8 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
             raise
         if h.is_zero:
             continue
-        h = h.normalized()
-        G.append(h)
-        k = len(G) - 1
-        for i2 in range(k):
-            if G[i2].lead()[0] == h.lead()[0]:
-                pairs.add((i2, k))
+        G.append(h.normalized())
+        add_pairs(len(G) - 1)
         if local_ideal and sum(1 for e in h.lead()[1] if e) <= 1:
             corner = tighten(corner)
 

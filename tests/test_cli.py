@@ -85,6 +85,9 @@ def test_parse_germfile_errors():
         with pytest.raises(GermfileError) as err:
             parse_germfile(text)
         assert err.value.line == line
+    with pytest.raises(GermfileError) as err:
+        parse_germfile("ring Fp:abc x y\nX: x\n")
+    assert str(err.value) == "line 1: unknown field 'Fp:abc' (expected Q or Fp:p)"
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,9 @@ def test_conjecture_bad_params(capsys):
 
 
 BAD_FIELDS = {"Z": "unknown field 'Z' (expected Q or Fp:p)",
-              "Fp:4": "modulus must be prime, got 4"}
+              "Fp:4": "modulus must be prime, got 4",
+              "Fp:": "unknown field 'Fp:' (expected Q or Fp:p)",
+              "Fp:abc": "unknown field 'Fp:abc' (expected Q or Fp:p)"}
 
 
 @pytest.mark.parametrize("tag", sorted(BAD_FIELDS))
@@ -323,6 +328,14 @@ def test_conjecture_field(tag, capsys):
 
 # ---------------------------------------------------------------------------
 # lc and oracle
+
+def test_lc_fiber_variable_clash_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "clash.germ"
+    p.write_text("ring Q x p2\nX: x^2+p2^3\n")
+    code, out, err = run(capsys, "lc", str(p), "--out", str(tmp_path / "lc.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: variable 'p2' clashes with the fiber variables p1..p2\n"
+
 
 def test_lc_round_trip(tmp_path, capsys):
     p = tmp_path / "line.germ"

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germcalc import (DegRevLex, Field, GermRing, NegDegRevLex, ParseError,
-                      Polynomial, render)
-from germcalc.ring import BlockOrder, mono_deg, mono_div, mono_lcm, mono_mul
+                      Polynomial, matrix_rank, render)
+from germcalc.ring import QQ, BlockOrder, mono_deg, mono_div, mono_lcm, mono_mul
 
 # one global variable above a local block of two
 ELIMINATION_BLOCK = BlockOrder([(0, 1, DegRevLex()), (1, 3, NegDegRevLex())])
@@ -24,6 +24,13 @@ def test_rational_field_arithmetic():
     b = F.from_fraction(-1, 6)
     assert F.add(a, b) == Fraction(1, 2)
     assert F.mul(a, F.inv(a)) == 1
+
+
+def test_rational_inverse_is_exact():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.div(2, 4) == Fraction(1, 2) and type(QQ.div(2, 4)) is Fraction
+    # 98/49 as a float is 2.0000000000000004, which left a nonzero entry
+    assert matrix_rank([[49, 1], [98, 2]], QQ) == 1
 
 
 def test_prime_field_arithmetic():

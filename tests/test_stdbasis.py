@@ -3,22 +3,26 @@ independent truncated-linear-algebra oracle."""
 
 import copy
 import json
+import math
 import os
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germcalc import (INCONCLUSIVE, INFINITE, DegreeCapExceeded, Field,
-                      GermRing, Vector, colength, ideal_basis, jacobian_matrix,
-                      maximal_minors, mora_divide, mora_normal_form,
-                      oracle_colength, staircase, standard_basis)
+from germcalc import (INCONCLUSIVE, INFINITE, ArtinianAlgebra,
+                      DegreeCapExceeded, Field, GermRing, Vector, colength,
+                      ideal_basis, jacobian_matrix, lc_ideals, maximal_minors,
+                      mora_divide, mora_normal_form, oracle_colength,
+                      staircase, standard_basis)
 from germcalc.cli import jsonable
 from germcalc.germfile import load_germfile
-from germcalc.invariants import (_random_mix, _random_poly,
+from germcalc.invariants import (_random_mix, _random_poly, _tangent_columns,
                                  random_linear_images)
+from germcalc.modops import dedupe_vectors
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -238,3 +242,142 @@ def test_monomial_staircase_closed_form(a, b):
     R = GermRing(("x", "y"))
     sb = ideal_basis([R.monomial((a, 0)), R.monomial((0, b))])
     assert colength(sb) == a * b
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients over Q, cached leads and ecarts, the pair heap
+
+# rendered generator lists of three fixed runs; each new generator follows the
+# inputs in the order its pair was reduced, so the lists pin the pair order
+CORNER_BASIS = [
+    "Vector(3*x^2+2*y*z+3*z^3)",
+    "Vector(2*y^2-x*z+6*x^3)",
+    "Vector(5*x*y+4*z^2)",
+    "Vector(14*y*z^2-90*x^4-15*z^4)",
+    "Vector(7*x*z^2+30*x^3*z-15*y*z^3)",
+    "Vector(56*z^4+450*x^5+75*x*z^4)",
+]
+TANGENT_BASIS = [
+    "Vector(2*x, y)",
+    "Vector(2*y, x)",
+    "Vector(z, 0)",
+    "Vector(0, x^2+y^2+z^2)",
+    "Vector(0, x*y)",
+    "Vector(0, x*z)",
+    "Vector(0, y*z)",
+    "Vector(0, 2*y^2+z^2)",
+    "Vector(0, z^2)",
+]
+COLON_BASIS = [
+    "Vector(p1, p2, p3, 1)",
+    "Vector(0, x*p1+y*p2+z*p3, 0, 0)",
+    "Vector(0, 0, x*p1+y*p2+z*p3, 0)",
+    "Vector(0, y^2*p1+z^2*p1+x*y*p2-x*z*p3, 0, 0)",
+    "Vector(0, 0, y^2*p1+z^2*p1+x*y*p2-x*z*p3, 0)",
+    "Vector(x^2*p2-y^2*p2+z^2*p2-2*y*z*p3, 0, 0, 0)",
+    "Vector(0, x^2*p2-y^2*p2+z^2*p2-2*y*z*p3, 0, 0)",
+    "Vector(0, 0, x^2*p2-y^2*p2+z^2*p2-2*y*z*p3, 0)",
+    "Vector(x*y*p3, 0, 0, 0)",
+    "Vector(0, x*y*p3, 0, 0)",
+    "Vector(0, 0, x*y*p3, 0)",
+    "Vector(0, y*z*p2-y^2*p3, 0, 0)",
+    "Vector(0, 0, y*z*p2-y^2*p3, 0)",
+    "Vector(x^2*p3+y^2*p3+z^2*p3, 0, 0, 0)",
+    "Vector(0, x^2*p3+y^2*p3+z^2*p3, 0, 0)",
+    "Vector(0, 0, x^2*p3+y^2*p3+z^2*p3, 0)",
+    "Vector(0, y^2*p2+y*z*p3, 0, 0)",
+    "Vector(0, 0, y^2*p2+y*z*p3, 0)",
+    "Vector(0, y^3*p3+y*z^2*p3, 0, 0)",
+    "Vector(0, 0, y^3*p3+y*z^2*p3, 0)",
+    "Vector(0, x*y*p2, 0, 0)",
+    "Vector(0, 0, x*y*p2, 0)",
+    "Vector(y*p2+z*p3, -1*x*p2, -1*x*p3, -1*x)",
+    "Vector(y^2*p3+z^2*p3, -1*x*z*p2, -1*x*z*p3, -1*x*z)",
+    "Vector(0, 0, 0, x*y)",
+    "Vector(x*z*p3, -1*x^2*p2, -1*x^2*p3, -1*x^2)",
+    "Vector(0, 0, 0, x^2+y^2+z^2)",
+    "Vector(0, 0, 0, y^3+y*z^2)",
+    "Vector(0, 0, 0, x*p1+y*p2+z*p3)",
+    "Vector(0, 0, 0, y^2*p2+y*z*p3)",
+    "Vector(0, 0, 0, y^2*p1+z^2*p1-x*y*p2-x*z*p3)",
+    "Vector(z^2*p2*p3-y*z*p3^2, -1*x*z*p2^2, -1*x*z*p2*p3, -1*x*z*p2)",
+    "Vector(0, 0, 0, y*z*p2-y^2*p3)",
+    "Vector(0, z^2*p1*p2+x*y*p2^2-y*z*p1*p3-x*z*p2*p3, 0, 0)",
+    "Vector(0, 0, z^2*p1*p2+x*y*p2^2-y*z*p1*p3-x*z*p2*p3, 0)",
+    "Vector(0, 0, 0, z^2*p1*p2-x*y*p2^2-y*z*p1*p3-x*z*p2*p3)",
+]
+
+
+def test_pinned_basis_of_a_corner_ideal(R3):
+    sb = ideal_basis([R3.parse(s) for s in ("x^2+2/3*y*z+z^3", "y^2-1/2*x*z+3*x^3",
+                                            "z^2+5/4*x*y")])
+    assert sb.corner == 4
+    assert [repr(g) for g in sb.generators] == CORNER_BASIS
+    assert all(type(c) is int for g in sb.generators for c in coefficients(g))
+
+
+def test_pinned_basis_of_the_worked_tangent_module():
+    X = load_germfile(os.path.join(CORPUS, "worked.germ")).X
+    jacobian, ideal = _tangent_columns(X)
+    sb = standard_basis(dedupe_vectors(jacobian + ideal))
+    assert [repr(g) for g in sb.generators] == TANGENT_BASIS
+
+
+def test_pinned_basis_of_the_worked_lc_colon():
+    # the relations-kernel input of LC(X) : (p1, p2, p3) in the block order
+    # of the cotangent ring: the column (p1, p2, p3 | 1) and the g e_j
+    X = load_germfile(os.path.join(CORPUS, "worked.germ")).X
+    bundle = lc_ideals(X)
+    ext, n = bundle.ring2n, X.n
+    zero = ext.zero
+    gens = [Vector([ext.var(n + i) for i in range(n)] + [ext.one])]
+    gens += [Vector([g if i == j else zero for i in range(n)] + [zero])
+             for g in bundle.lc for j in range(n)]
+    sb = standard_basis(gens)
+    assert [repr(g) for g in sb.generators] == COLON_BASIS
+    assert all(type(c) is int for g in sb.generators for c in coefficients(g))
+
+
+def coefficients(v):
+    return [c for p in v.components for _, c in p.terms]
+
+
+def fresh_lead_and_ecart(v):
+    i = next(i for i, p in enumerate(v.components) if p.terms)
+    m, c = v.components[i].terms[0]
+    top = max(sum(t) for p in v.components for t, _ in p.terms)
+    return (i, m, c), top - sum(m)
+
+
+_RQ = GermRing(("x", "y"))
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+q_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+                          max_size=4).map(_RQ.from_dict)
+
+
+# standard bases are taken of ideals only: those of random small modules over
+# Q often run past the degree cap or for seconds, with Fraction or int
+# coefficients alike
+@given(st.lists(st.lists(q_polys, min_size=1, max_size=3), min_size=1, max_size=3),
+       st.lists(q_polys, min_size=1, max_size=3), q_polys)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_integer_coefficients_and_cached_leads_over_q(vectors, polys, p):
+    for v in map(Vector, vectors):
+        if v.is_zero:
+            continue
+        assert (v.lead(), v.ecart()) == fresh_lead_and_ecart(v)
+        w = v.normalized()
+        assert all(type(c) is int for c in coefficients(w))
+        assert math.gcd(*coefficients(w)) == 1 and w.lead()[2] > 0
+        ratio = Fraction(w.lead()[2]) / v.lead()[2]
+        assert coefficients(w) == [ratio * c for c in coefficients(v)]
+    if all(q.is_zero for q in polys):
+        return
+    sb = ideal_basis(polys)
+    for g in sb.generators:
+        assert all(type(c) is int for c in coefficients(g))
+        assert (g.lead(), g.ecart()) == fresh_lead_and_ecart(g)
+    assert not any(isinstance(c, float) for c in coefficients(sb.normal_form(vec(p))))
+    if colength(sb) is not INFINITE:
+        algebra = ArtinianAlgebra(polys)
+        assert not any(isinstance(c, float) for c in algebra.normal_form(p).values())
