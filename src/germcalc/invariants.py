@@ -14,10 +14,10 @@ from .ring import (QQ, BlockOrder, DegRevLex, GermRing, NegDegRevLex,
                    Polynomial, render)
 from .stdbasis import (INFINITE, DegreeCapExceeded, Vector, colength,
                        ideal_colength, oracle_colength, standard_basis)
-from .modops import (InternalError, Subquotient, dedupe, dedupe_vectors,
-                     determinant, ideal_product, intersect, jacobian_matrix,
-                     koszul_tor, matrix_rank, maximal_minors, quotient_ideal,
-                     syzygies)
+from .modops import (ArtinianAlgebra, InternalError, Subquotient, dedupe,
+                     dedupe_vectors, determinant, ideal_product, intersect,
+                     jacobian_matrix, koszul_tor, matrix_rank, maximal_minors,
+                     quotient_ideal, syzygies)
 
 
 class InputError(ValueError):
@@ -221,8 +221,9 @@ def tor1_dimension(I: list[Polynomial], J: list[Polynomial]):
     if not inter:
         return 0
     sub = Subquotient.of_ideals(inter, prod, check=False).colength()
-    if ideal_colength(J) is not INFINITE:
-        kos = koszul_tor(I, J)[1]
+    algebra = ArtinianAlgebra.of(J)
+    if algebra is not None:
+        kos = koszul_tor(I, algebra)[1]
         if kos != sub:
             raise InternalError(
                 f"Tor1 routes disagree: subquotient {sub}, Koszul {kos}")
@@ -499,13 +500,14 @@ def conjecture_scan(n: int, k: int, trials: int, maxdeg: int, seed: int,
                 break
         for _ in range(50):
             cand = [_random_poly(ring, maxdeg, rng) for _ in range(n)]
-            if all(not p.is_zero for p in cand) and ideal_colength(cand) is not INFINITE:
+            if (all(not p.is_zero for p in cand)
+                    and (algebra := ArtinianAlgebra.of(cand)) is not None):
                 J = cand
                 break
         if I is None or J is None:
             rows.append({"trial": trial, "status": "degenerate"})
             continue
-        tors = koszul_tor(I, J)
+        tors = koszul_tor(I, algebra)
         c = ideal_colength(I + J)
         predicted = [comb(k, i) * c for i in range(k + 1)]
         euler = sum((-1) ** i * t for i, t in enumerate(tors))

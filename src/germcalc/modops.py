@@ -8,8 +8,8 @@ import itertools
 from functools import cached_property
 
 from .ring import Polynomial, mono_deg, mono_div
-from .stdbasis import (INFINITE, Vector, colength, ideal_basis, staircase,
-                       standard_basis)
+from .stdbasis import (INFINITE, StandardBasis, Vector, colength, ideal_basis,
+                       staircase, standard_basis)
 
 
 class InternalError(RuntimeError):
@@ -232,14 +232,17 @@ class ArtinianAlgebra:
     The basis is the set of standard monomials; reduction truncates at total
     degree equal to the dimension, which is sound because the maximal ideal of
     an Artinian local algebra of length d is nilpotent of order at most d.
+    J is given by its generators or by its standard basis.
     """
 
-    def __init__(self, J: list[Polynomial]):
-        J = [p for p in J if not p.is_zero]
-        if not J:
-            raise ValueError("zero ideal has infinite colength")
-        self.ring = J[0].ring
-        self.sb = ideal_basis(J)
+    def __init__(self, J: list[Polynomial] | StandardBasis):
+        if not isinstance(J, StandardBasis):
+            J = [p for p in J if not p.is_zero]
+            if not J:
+                raise ValueError("zero ideal has infinite colength")
+            J = ideal_basis(J)
+        self.sb = J
+        self.ring = J.ring
         self._leads = [(g.lead()[1], g) for g in self.sb.generators]
         basis = staircase([m for m, _ in self._leads], self.ring.nvars)
         if basis is INFINITE:
@@ -249,6 +252,15 @@ class ArtinianAlgebra:
         self.trunc = max(self.dim, 1)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._var_tables = None
+
+    @classmethod
+    def of(cls, J: list[Polynomial]) -> "ArtinianAlgebra | None":
+        """O/J, or None when J has infinite colength."""
+        J = [p for p in J if not p.is_zero]
+        if not J:
+            return None
+        sb = ideal_basis(J)
+        return cls(sb) if colength(sb) is not INFINITE else None
 
     def normal_form(self, p: Polynomial) -> dict:
         """Fully reduced representative, supported on standard monomials."""
@@ -317,11 +329,12 @@ def _mat_mul(a, b, field):
     return out
 
 
-def koszul_tor(I: list[Polynomial], J: list[Polynomial]) -> list:
+def koszul_tor(I: list[Polynomial], J: list[Polynomial] | ArtinianAlgebra) -> list:
     """Homology dimensions Tor_0..Tor_k of the Koszul complex of the
-    multiplication maps of I's generators on the algebra of J."""
+    multiplication maps of I's generators on the algebra of J (given by its
+    generators or as that algebra)."""
     k = len(I)
-    algebra = ArtinianAlgebra(J)
+    algebra = J if isinstance(J, ArtinianAlgebra) else ArtinianAlgebra(J)
     field = algebra.ring.field
     mu = algebra.dim
     if mu == 0:

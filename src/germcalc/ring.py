@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 def _is_prime(p: int) -> bool:
@@ -90,7 +91,7 @@ DEFAULT_PRIME = 32003
 # monomials: plain tuples of non-negative exponents
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple | None:
@@ -326,7 +327,8 @@ class Polynomial:
         return self.ring.from_dict(d)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        return self.sub_mul_term((0,) * self.ring.nvars, self.ring.field.one,
+                                 self._lift(other))
 
     def __neg__(self):
         F = self.ring.field
@@ -371,6 +373,23 @@ class Polynomial:
             return self.ring.zero
         return Polynomial(self.ring,
                           tuple((mono_mul(t, m), F.mul(tc, c)) for t, tc in self.terms))
+
+    def sub_mul_term(self, m: tuple, c, g: "Polynomial") -> "Polynomial":
+        """self - c*x^m*g in one dict pass (c a field element)."""
+        if not g.terms or c == 0:
+            return self
+        p = self.ring.field.p
+        d = dict(self.terms)
+        for t, tc in g.terms:
+            t = mono_mul(t, m)
+            v = d.get(t, 0) - tc * c
+            if p is not None:
+                v %= p
+            if v:
+                d[t] = v
+            else:
+                d.pop(t, None)
+        return self.ring.from_dict(d)
 
     def scale(self, c) -> "Polynomial":
         return self.mul_term((0,) * self.ring.nvars, c)

@@ -11,7 +11,9 @@ import enum
 import heapq
 import itertools
 import os
+from bisect import insort
 from math import gcd, lcm
+from operator import le
 
 from .ring import (GermRing, NegDegRevLex, Polynomial, mono_deg, mono_div,
                    mono_lcm, mono_mul)
@@ -103,7 +105,10 @@ class Vector:
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.components)
+        for p in self.components:
+            if p.terms:
+                return False
+        return True
 
     def lead(self):
         """(component, monomial, coefficient) of the POT-leading term."""
@@ -125,11 +130,13 @@ class Vector:
     def __add__(self, other):
         return Vector(tuple(a + b for a, b in zip(self.components, other.components)))
 
-    def __sub__(self, other):
-        return Vector(tuple(a - b for a, b in zip(self.components, other.components)))
-
     def mul_term(self, m, c) -> "Vector":
         return Vector(tuple(p.mul_term(m, c) for p in self.components))
+
+    def sub_mul_term(self, m, c, g: "Vector") -> "Vector":
+        """self - c*x^m*g."""
+        return Vector(tuple(a.sub_mul_term(m, c, b)
+                            for a, b in zip(self.components, g.components)))
 
     def scale(self, c) -> "Vector":
         return Vector(tuple(p.scale(c) for p in self.components))
@@ -187,41 +194,76 @@ def _truncated(v: Vector, corner: int) -> Vector:
                         for p in v.components))
 
 
-def mora_normal_form(v: Vector, basis: list[Vector], cap: int | None = None,
+class _Reducers:
+    """The reducers of Mora's normal form, bucketed by lead component.
+
+    An entry is (ecart, index, lead monomial, lead coefficient, vector), the
+    index numbering the vectors from start in the order they were added.  A
+    bucket stays sorted, so its first entry whose lead divides a monomial is
+    the one of minimal (ecart, index).  Zero vectors are skipped.
+    """
+
+    __slots__ = ("buckets", "size")
+
+    def __init__(self, vectors=(), start: int = 0):
+        self.buckets = {}
+        self.size = start
+        for g in vectors:
+            if not g.is_zero:
+                self.add(g)
+
+    def add(self, g: Vector):
+        c, m, a = g.lead()
+        insort(self.buckets.setdefault(c, []), (g.ecart(), self.size, m, a, g))
+        self.size += 1
+
+    def first(self, c: int, m: tuple):
+        """The entry of minimal (ecart, index) whose lead divides x^m e_c, or None."""
+        for entry in self.buckets.get(c, ()):
+            if all(map(le, entry[2], m)):
+                return entry
+        return None
+
+
+def mora_normal_form(v: Vector, basis, cap: int | None = None,
                      budget: _Budget | None = None, corner: int | None = None) -> Vector:
     """Mora's weak normal form with minimal-ecart reducer selection.
 
-    Returns r with u*v = (combination of basis) + r for some unit u of the
-    local ring; r is 0 exactly when v lies in the localized submodule.  A
-    corner D asserts m^D * O^r inside the submodule: terms of degree >= D are
-    then dropped after every reduction step.
+    basis is a list of vectors or a _Reducers index of them.  Returns r with
+    u*v = (combination of basis) + r for some unit u of the local ring; r is
+    0 exactly when v lies in the localized submodule.  A corner D asserts
+    m^D * O^r inside the submodule: terms of degree >= D are then dropped
+    after every reduction step.  An intermediate h that a reducer of larger
+    ecart reduces joins the reducers of this call, numbered after the basis.
     """
     if cap is None:
         cap = degree_cap()
+    if not isinstance(basis, _Reducers):
+        basis = _Reducers(basis)
     F = v.ring.field
     rational = F.p is None
     h = v if corner is None else _truncated(v, corner)
-    T = [(g, g.lead(), g.ecart()) for g in basis if not g.is_zero]
+    appended = _Reducers(start=basis.size)
     while not h.is_zero:
-        h_lead = h.lead()
-        candidates = [(e, i) for i, (g, gl, e) in enumerate(T)
-                      if _lead_reducible_by(h_lead, gl) is not None]
-        if not candidates:
+        c, mh, ah = h.lead()
+        best = basis.first(c, mh)
+        own = appended.first(c, mh)
+        if own is not None and (best is None or own < best):
+            best = own
+        if best is None:
             break
-        _, idx = min(candidates)
-        g, (_, mg, ag), eg = T[idx]
-        if eg > h.ecart():
-            T.append((h, h_lead, h.ecart()))
+        eg, _, mg, ag, g = best
+        if eg and eg > h.ecart():
+            appended.add(h)
         if budget is not None:
             budget.spend()
-        _, mh, ah = h_lead
         q = mono_div(mh, mg)
         if rational and type(ag) is int and type(ah) is int:
             # fraction-free: the Q-line of h - (ah/ag)*x^q*g, with int coefficients
             d = gcd(ag, ah)
-            h = (h if ag == d else h.scale(ag // d)) - g.mul_term(q, ah // d)
+            h = (h if ag == d else h.scale(ag // d)).sub_mul_term(q, ah // d, g)
         else:
-            h = h - g.mul_term(q, F.div(ah, ag))
+            h = h.sub_mul_term(q, F.div(ah, ag), g)
         if corner is not None:
             h = _truncated(h, corner)
         if not h.is_zero:
@@ -262,6 +304,7 @@ class StandardBasis:
         self.generators = list(generators)
         self.rank = rank
         self.corner = corner
+        self._reducers = None
 
     @property
     def ring(self) -> GermRing:
@@ -271,7 +314,9 @@ class StandardBasis:
         return [g.lead()[:2] for g in self.generators]
 
     def normal_form(self, v: Vector) -> Vector:
-        return mora_normal_form(v, self.generators, corner=self.corner)
+        if self._reducers is None:
+            self._reducers = _Reducers(self.generators)
+        return mora_normal_form(v, self._reducers, corner=self.corner)
 
     def contains(self, v: Vector) -> bool:
         if v.is_zero:
@@ -286,7 +331,7 @@ def _spair(f: Vector, g: Vector) -> Vector:
     cg, mg, ag = g.lead()
     assert cf == cg
     L = mono_lcm(mf, mg)
-    return f.mul_term(mono_div(L, mf), ag) - g.mul_term(mono_div(L, mg), af)
+    return f.mul_term(mono_div(L, mf), ag).sub_mul_term(mono_div(L, mg), af, g)
 
 
 def standard_basis(gens: list[Vector]) -> StandardBasis:
@@ -356,6 +401,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
     """
     ring = G[0].ring
     G = list(G)
+    reducers = _Reducers(G)
     budget = _Budget(step_budget())
     local_ideal = rank == 1 and isinstance(ring.order, NegDegRevLex)
 
@@ -390,8 +436,8 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
             continue  # the S-polynomial lies in m^corner
         watching = corner is None and watch is not None and watch <= cap
         try:
-            h = mora_normal_form(_spair(G[i], G[j]), G, cap=watch - 1 if watching else cap,
-                                 budget=budget, corner=corner)
+            h = mora_normal_form(_spair(G[i], G[j]), reducers,
+                                 cap=watch - 1 if watching else cap, budget=budget, corner=corner)
         except DegreeCapExceeded:
             if watching and budget.remaining >= 0:
                 return None
@@ -399,6 +445,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
         if h.is_zero:
             continue
         G.append(h.normalized())
+        reducers.add(G[-1])
         add_pairs(len(G) - 1)
         if local_ideal and sum(1 for e in h.lead()[1] if e) <= 1:
             corner = tighten(corner)

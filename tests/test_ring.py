@@ -232,3 +232,21 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=60)
 def test_render_parse_inverse(p):
     assert _R.parse(render(p)) == p
+
+
+_RP = GermRing(("x", "y"), Field(32003))
+
+
+@given(st.sampled_from((_R, _RP)).flatmap(
+    lambda R: st.tuples(polys(R), polys(R), small_exps, coeffs)))
+@settings(max_examples=80, derandomize=True)
+def test_fused_subtraction_matches_negate_then_add(case):
+    p, g, m, c = case
+    c = p.ring.field.from_fraction(c)
+
+    def typed(q):
+        return [(t, type(tc), tc) for t, tc in q.terms]
+
+    assert typed(p.sub_mul_term(m, c, g)) == typed(p + (-g.mul_term(m, c)))
+    assert typed(p - g) == typed(p + (-g))
+    assert (p - p).is_zero and p - p.ring.zero == p

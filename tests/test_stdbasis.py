@@ -8,16 +8,17 @@ import os
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germcalc import (INCONCLUSIVE, INFINITE, ArtinianAlgebra,
-                      DegreeCapExceeded, Field, GermRing, Vector, colength,
-                      ideal_basis, jacobian_matrix, lc_ideals, maximal_minors,
-                      mora_divide, mora_normal_form, oracle_colength,
-                      staircase, standard_basis)
+                      DegreeCapExceeded, Field, GermRing, StandardBasis, Vector,
+                      colength, ideal_basis, jacobian_matrix, lc_ideals,
+                      maximal_minors, mora_divide, mora_normal_form,
+                      oracle_colength, staircase, standard_basis)
 from germcalc.cli import jsonable
 from germcalc.germfile import load_germfile
 from germcalc.invariants import (_random_mix, _random_poly, _tangent_columns,
@@ -381,3 +382,109 @@ def test_integer_coefficients_and_cached_leads_over_q(vectors, polys, p):
     if colength(sb) is not INFINITE:
         algebra = ArtinianAlgebra(polys)
         assert not any(isinstance(c, float) for c in algebra.normal_form(p).values())
+
+
+# ---------------------------------------------------------------------------
+# the reducer index against one flat reducer list
+
+def flat_normal_form(v, basis, cap, corner=None):
+    """Mora's weak normal form with every reducer in one list T: the nonzero
+    basis elements, then each appended h.  The reducer is the minimum of
+    (ecart, position in T) among those whose lead divides, and the step
+    subtracts by negate-then-add."""
+    F = v.ring.field
+
+    def cut(w):
+        if corner is None:
+            return w
+        return Vector(p.ring.from_dict({m: c for m, c in p.terms if sum(m) < corner})
+                      for p in w.components)
+
+    def minus(a, b):
+        return Vector(p + (-q) for p, q in zip(a.components, b.components))
+
+    h = cut(v)
+    T = [(g, g.lead(), g.ecart()) for g in basis if not g.is_zero]
+    while not h.is_zero:
+        ci, mh, ah = h.lead()
+        candidates = [(e, i) for i, (g, (cj, mj, _), e) in enumerate(T)
+                      if cj == ci and all(a >= b for a, b in zip(mh, mj))]
+        if not candidates:
+            break
+        _, idx = min(candidates)
+        g, (_, mg, ag), eg = T[idx]
+        if eg > h.ecart():
+            T.append((h, h.lead(), h.ecart()))
+        q = tuple(a - b for a, b in zip(mh, mg))
+        if F.p is None and type(ag) is int and type(ah) is int:
+            d = math.gcd(ag, ah)
+            h = minus(h if ag == d else h.scale(ag // d), g.mul_term(q, ah // d))
+        else:
+            h = minus(h, g.mul_term(q, F.div(ah, ag)))
+        h = cut(h)
+        if not h.is_zero:
+            h = h.normalized()
+            if sum(h.lead()[1]) > cap:
+                raise DegreeCapExceeded(f"leading degree above {cap}")
+    return h
+
+
+REDUCTION_CAP = 10
+REDUCTION_RINGS = (GermRing(("x", "y")), GermRing(("x", "y"), Field(32003)))
+
+
+@st.composite
+def reduction_inputs(draw):
+    """A ring, a basis of 1-4 vectors of rank 1-3 (zero vectors too), two
+    vectors to reduce and an optional corner.  Entries have 0-3 terms of
+    degree at most 3 in each variable, so reducers of positive ecart are
+    common: in about a fifth of the reductions an intermediate h joins the
+    reducers, and about one in seventy reaches the degree cap."""
+    R = draw(st.sampled_from(REDUCTION_RINGS))
+    rank = draw(st.integers(1, 3))
+    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+                            max_size=3).map(
+        lambda d: sum((R.monomial(m, c) for m, c in d.items()), R.zero))
+    vectors = st.lists(polys, min_size=rank, max_size=rank).map(Vector)
+    basis = draw(st.lists(vectors, min_size=1, max_size=4))
+    return basis, draw(vectors), draw(vectors), draw(st.none() | st.integers(3, 6))
+
+
+def assert_same_normal_form(reduce, v, basis, corner):
+    try:
+        expected = flat_normal_form(v, basis, REDUCTION_CAP, corner)
+    except DegreeCapExceeded:
+        with pytest.raises(DegreeCapExceeded):
+            reduce(v)
+        return
+    assert reduce(v) == expected
+
+
+@given(reduction_inputs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_indexed_normal_form_matches_the_flat_list(case):
+    basis, v, w, corner = case
+    assert_same_normal_form(
+        lambda u: mora_normal_form(u, basis, cap=REDUCTION_CAP, corner=corner),
+        v, basis, corner)
+    # a StandardBasis builds its index once; what one call appends must not
+    # reach the next call
+    sb = StandardBasis([g for g in basis if not g.is_zero], v.rank, corner)
+    with mock.patch.dict(os.environ, {"GERMCALC_DEGREE_CAP": str(REDUCTION_CAP)}):
+        for u in (v, w, v):
+            assert_same_normal_form(sb.normal_form, u, basis, corner)
+
+
+def test_an_appended_reducer_is_chosen_over_a_basis_element(R2):
+    basis = [Vector((R2.parse("-x*y+x^3*y^2"), R2.zero)),
+             Vector((R2.parse("-y^3-2*x^2*y^2"), R2.zero))]
+    v = Vector((R2.parse("2*x*y^2"), R2.parse("3*x^2*y^2")))
+    # Only the first basis element, of ecart 3, divides the lead x*y^2 of v,
+    # so v (ecart 1) joins the reducers as the third.  At the next lead the
+    # second basis element and v tie at ecart 1 and the basis element wins by
+    # its number; at the last one v wins by its ecart over the first.  The
+    # basis element there climbs past the degree cap, and numbering v first
+    # gives (0, x^2*y^2-x^4*y^3).
+    expected = Vector((R2.zero, R2.parse("x^2*y^2+2*x^6*y^2")))
+    assert flat_normal_form(v, basis, 30) == expected
+    assert mora_normal_form(v, basis) == expected
