@@ -12,8 +12,9 @@ from functools import cached_property
 
 from .ring import (QQ, BlockOrder, DegRevLex, GermRing, NegDegRevLex,
                    Polynomial, render)
-from .stdbasis import (INFINITE, DegreeCapExceeded, Vector, colength,
-                       ideal_colength, oracle_colength, standard_basis)
+from .stdbasis import (INFINITE, DegreeCapExceeded, StandardBasis, Vector,
+                       colength, ideal_basis, ideal_colength, oracle_colength,
+                       standard_basis)
 from .modops import (ArtinianAlgebra, InternalError, Subquotient, dedupe,
                      dedupe_vectors, determinant, ideal_product, intersect,
                      jacobian_matrix, koszul_tor, matrix_rank, maximal_minors,
@@ -213,15 +214,17 @@ def section_milnor(f: Polynomial, X: ICIS):
     return Germ(X, f).mu_section
 
 
-def tor1_dimension(I: list[Polynomial], J: list[Polynomial]):
+def tor1_dimension(I: list[Polynomial], J: list[Polynomial],
+                   J_basis: StandardBasis | None = None):
     """dim (I cap J)/(I J) by the subquotient route; cross-checked against the
-    Koszul homology route whenever J has finite colength."""
+    Koszul homology route whenever J has finite colength.  J_basis is a
+    standard basis of J that the caller already holds."""
     inter = intersect(I, J)
     prod = ideal_product(I, J)
     if not inter:
         return 0
     sub = Subquotient.of_ideals(inter, prod, check=False).colength()
-    algebra = ArtinianAlgebra.of(J)
+    algebra = ArtinianAlgebra.of(J if J_basis is None else J_basis)
     if algebra is not None:
         kos = koszul_tor(I, algebra)[1]
         if kos != sub:
@@ -277,8 +280,15 @@ class Germ:
         return jacobian_ideal(self.f)
 
     @cached_property
+    def jf_basis(self) -> StandardBasis | None:
+        """The standard basis of Jf that mu_f and tor1 both read; None when
+        Jf = 0 (f a p-th power over F_p)."""
+        gens = [p for p in self.jf if not p.is_zero]
+        return ideal_basis(gens) if gens else None
+
+    @cached_property
     def mu_f(self):
-        return ideal_colength(self.jf)
+        return INFINITE if self.jf_basis is None else colength(self.jf_basis)
 
     @cached_property
     def polar_colength(self):
@@ -301,7 +311,7 @@ class Germ:
     @cached_property
     def tor1(self):
         """dim Tor_1(O/I_X, O/Jf)."""
-        return tor1_dimension(list(self.X.phi), self.jf)
+        return tor1_dimension(list(self.X.phi), self.jf, self.jf_basis)
 
     @cached_property
     def br_minus_direct(self):

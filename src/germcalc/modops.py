@@ -254,13 +254,14 @@ class ArtinianAlgebra:
         self._var_tables = None
 
     @classmethod
-    def of(cls, J: list[Polynomial]) -> "ArtinianAlgebra | None":
+    def of(cls, J: list[Polynomial] | StandardBasis) -> "ArtinianAlgebra | None":
         """O/J, or None when J has infinite colength."""
-        J = [p for p in J if not p.is_zero]
-        if not J:
-            return None
-        sb = ideal_basis(J)
-        return cls(sb) if colength(sb) is not INFINITE else None
+        if not isinstance(J, StandardBasis):
+            J = [p for p in J if not p.is_zero]
+            if not J:
+                return None
+            J = ideal_basis(J)
+        return cls(J) if colength(J) is not INFINITE else None
 
     def normal_form(self, p: Polynomial) -> dict:
         """Fully reduced representative, supported on standard monomials."""

@@ -338,7 +338,9 @@ def standard_basis(gens: list[Vector]) -> StandardBasis:
     """Mora's algorithm: Buchberger completion with the local weak normal form.
 
     Deterministic: normal pair selection (minimal lcm under the ordering),
-    ties broken by generator index.
+    ties broken by generator index.  Pairs are pruned by the Gebauer-Moller
+    criteria (see _mora): B and F at every rank, M and the product criterion
+    for ideals only.
 
     Ideals in the local degree ordering stop at a certified corner D, a
     degree with m^D inside I (Singular's noether; Greuel-Pfister, A Singular
@@ -398,6 +400,20 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
     and D becomes the corner.  A corner passed in asserts m^corner inside the
     ideal.  Returns None when, with no corner known, a normal form reaches
     the leading degree watch.
+
+    Pairs join elements of one lead component and are pruned by the
+    Gebauer-Moller criteria (Gebauer-Moller, On an installation of
+    Buchberger's algorithm, 1988) each time an element k enters G:
+    B (every rank) retires a waiting pair (i, j) when lm(k) divides its lcm L
+    and neither lcm(i, k) nor lcm(j, k) is L; F (every rank) keeps one new
+    pair (i, k) per lcm, the one of least i.  For ideals, M drops a new pair
+    whose lcm another new lcm properly divides, and an lcm group holding a
+    coprime pair is dropped whole (the product criterion).  M and the product
+    criterion stay off for modules.  The product criterion does not hold
+    there.  M does, but it changes which elements join a module basis, and
+    the relations kernel reads its output generators off module bases; of an
+    ideal basis only the leading ideal reaches any output.  Live pairs pop
+    in the order (deg L, order key of L, i, j).
     """
     ring = G[0].ring
     G = list(G)
@@ -411,28 +427,46 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
 
     if local_ideal:
         corner = tighten(corner)
-    pairs = []
+    pairs = []    # heap of (deg lcm, order key of lcm, i, j), live or dead
+    waiting = {}  # the live pairs: (i, j) -> (component, lcm)
 
-    def add_pairs(k):
+    def update(k):
+        """Gebauer-Moller: retire the waiting pairs that G[k] makes redundant
+        (B), then enter the pairs (i, k) that the criteria keep (M, F)."""
         ck, mk, _ = G[k].lead()
+        for ij, (c, L) in list(waiting.items()):
+            if (c == ck and mono_div(L, mk) is not None
+                    and mono_lcm(G[ij[0]].lead()[1], mk) != L
+                    and mono_lcm(G[ij[1]].lead()[1], mk) != L):
+                del waiting[ij]
+        new = []
         for i in range(k):
             ci, mi, _ = G[i].lead()
             if ci == ck:
                 L = mono_lcm(mi, mk)
+                new.append((i, L, rank == 1 and L == mono_mul(mi, mk)))
+        if rank == 1:
+            lcms = {L for _, L, _ in new}
+            new = [p for p in new
+                   if not any(M != p[1] and mono_div(p[1], M) is not None for M in lcms)]
+        groups = {}
+        for i, L, coprime in new:
+            group = groups.setdefault(L, [i, False])
+            group[1] |= coprime
+        for L, (i, coprime) in groups.items():
+            if not coprime:
+                waiting[i, k] = (ck, L)
                 # lowest-degree lcm first keeps local computations shallow; the
                 # ordering key and the input indices make the choice deterministic
                 heapq.heappush(pairs, (mono_deg(L), ring.mono_key(L), i, k))
 
     for k in range(1, len(G)):
-        add_pairs(k)
+        update(k)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        _, mi, _ = G[i].lead()
-        _, mj, _ = G[j].lead()
-        L = mono_lcm(mi, mj)
-        if rank == 1 and L == mono_mul(mi, mj):
-            continue  # product criterion (ideal case only)
-        if corner is not None and mono_deg(L) >= corner:
+        d, _, i, j = heapq.heappop(pairs)
+        if waiting.pop((i, j), None) is None:
+            continue  # retired by criterion B
+        if corner is not None and d >= corner:
             continue  # the S-polynomial lies in m^corner
         watching = corner is None and watch is not None and watch <= cap
         try:
@@ -446,7 +480,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
             continue
         G.append(h.normalized())
         reducers.add(G[-1])
-        add_pairs(len(G) - 1)
+        update(len(G) - 1)
         if local_ideal and sum(1 for e in h.lead()[1] if e) <= 1:
             corner = tighten(corner)
 

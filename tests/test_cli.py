@@ -5,6 +5,7 @@ import glob
 import io
 import json
 import os
+import random
 import shutil
 import sys
 
@@ -13,6 +14,8 @@ import pytest
 import germcalc.invariants
 from germcalc.cli import ALL_IDENTITIES, main, verify_report
 from germcalc.germfile import GermfileError, load_germfile, parse_germfile
+from germcalc.invariants import random_linear_images
+from germcalc.ring import render
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "corpus_reports.json")
@@ -123,6 +126,33 @@ def test_compute_without_f(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["invariants"] == {"muX": 2, "tauX": 2}
+
+
+# corpus/nonwh_curve.germ moved by the first random_linear_images draw of
+# random.Random(17): the relations-kernel basis of Theta_X reaches the degree
+# cap here unless the Gebauer-Moller criteria prune its pairs
+MOVED_NONWH_CURVE = """\
+ring Q x y
+X: x^4+2*x^3*y+x^2*y^2+2*x^5+5*x^4*y+10*x^3*y^2+10*x^2*y^3+5*x*y^4+y^5
+f: 2*x+y
+"""
+
+
+@pytest.mark.parametrize("method", ["both", "direct"])
+def test_compute_moved_nonwh_curve(method, tmp_path, capsys):
+    gf = load_germfile(os.path.join(CORPUS, "nonwh_curve.germ"))
+    images = random_linear_images(gf.ring, random.Random(17))
+    moved = parse_germfile(MOVED_NONWH_CURVE)
+    assert [render(p.substitute(images)) for p in gf.X.phi + (gf.f,)] == \
+        [render(p) for p in moved.X.phi + (moved.f,)]
+    p = tmp_path / "moved.germ"
+    p.write_text(MOVED_NONWH_CURVE)
+    code, out, _ = run(capsys, "compute", str(p), "--method", method, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["invariants"] == {"muX": 11, "tauX": 10, "muF": 0, "muSection": 3,
+                                 "brMinus": 4, "br": 4, "tor1": 0}
+    assert doc["mismatches"] == []
 
 
 def test_compute_not_icis(tmp_path, capsys):

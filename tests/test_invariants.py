@@ -16,6 +16,7 @@ from germcalc import (ICIS, INFINITE, ChainDegenerate, Field, Germ, GermRing, Ve
                       render, section_milnor, standard_basis, theta_x,
                       theta_x_trivial, tjurina, tor1_dimension)
 import germcalc.invariants
+import germcalc.stdbasis
 from germcalc.germfile import load_germfile, parse_germfile
 from germcalc.invariants import random_linear_images
 from germcalc.modops import jacobian_matrix
@@ -170,6 +171,22 @@ def test_tor1_hypersurface_case(R2):
     Jf = jacobian_ideal(f)
     tor = tor1_dimension(list(X.phi), Jf)
     assert tor == colength(ideal_basis(list(X.phi) + Jf))
+
+
+def test_jacobian_basis_is_built_once(fourlines, R3, monkeypatch):
+    # mu_f and the Koszul check of tor1 read one standard basis of Jf
+    germ = Germ(fourlines, R3.parse("z^2+x*y"))
+    jf = [Vector.ideal(p) for p in germ.jf]
+    built = []
+    original = germcalc.stdbasis.standard_basis
+
+    def counted(gens):
+        built.append(list(gens) == jf)
+        return original(gens)
+
+    monkeypatch.setattr(germcalc.stdbasis, "standard_basis", counted)
+    assert (germ.mu_f, germ.tor1) == (1, 2)
+    assert built.count(True) == 1
 
 
 def test_tau_via_theta_quotients(fourlines, R3):

@@ -2,6 +2,8 @@
 independent truncated-linear-algebra oracle."""
 
 import copy
+import glob
+import itertools
 import json
 import math
 import os
@@ -22,8 +24,10 @@ from germcalc import (INCONCLUSIVE, INFINITE, ArtinianAlgebra,
 from germcalc.cli import jsonable
 from germcalc.germfile import load_germfile
 from germcalc.invariants import (_random_mix, _random_poly, _tangent_columns,
-                                 random_linear_images)
+                                 jacobian_ideal, random_linear_images,
+                                 relative_jacobian_ideal)
 from germcalc.modops import dedupe_vectors
+from germcalc.stdbasis import _spair
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -167,10 +171,46 @@ def test_corner_bases_agree_with_the_oracle():
         combo = sum((g * (R.constant(rng.randrange(1, 32003)) + _random_poly(R, 2, rng))
                      for g in gens), R.zero)
         assert sb.contains(vec(combo)), (trial, gens)
+        assert_buchberger(sb, [vec(g) for g in gens])
         stairs = staircase([m for _, m in sb.leading_module()], n)
         if stairs is not INFINITE and stairs:
             top = R.monomial(max(stairs, key=sum))
             assert not sb.contains(vec(combo + top)), (trial, gens)
+
+
+def assert_buchberger(sb, gens):
+    """Buchberger's criterion, independent of the pairs the run kept: sb holds
+    the generators, and the S-vector of any two of its elements with the same
+    lead component has normal form zero."""
+    assert all(sb.contains(g) for g in gens)
+    for f, g in itertools.combinations(sb.generators, 2):
+        if f.lead()[0] == g.lead()[0]:
+            assert sb.normal_form(_spair(f, g)).is_zero, (f, g)
+
+
+def corpus_certificate_inputs(path):
+    """The tangent module, the relations-kernel input of Theta_X, Jf and
+    J(f, phi) + I_X of a corpus germ."""
+    gf = load_germfile(path)
+    X, f = gf.X, gf.f
+    zero, one = X.ring.zero, X.ring.one
+    jacobian, ideal = _tangent_columns(X)
+    s = len(jacobian)
+    kernel = [Vector(c.components + tuple(one if i == j else zero for i in range(s)))
+              for j, c in enumerate(jacobian)]
+    kernel += [Vector(m.components + (zero,) * s) for m in ideal]
+    return {"tangent": dedupe_vectors(jacobian + ideal), "kernel": kernel,
+            "jf": [vec(p) for p in jacobian_ideal(f) if not p.is_zero],
+            "polar": [vec(p) for p in relative_jacobian_ideal(f, X) + list(X.phi)
+                      if not p.is_zero]}
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CORPUS, "*.germ"))),
+                         ids=os.path.basename)
+def test_corpus_bases_satisfy_buchberger(path):
+    for name, gens in corpus_certificate_inputs(path).items():
+        assert gens, name
+        assert_buchberger(standard_basis(gens), gens)
 
 
 # ---------------------------------------------------------------------------
