@@ -101,7 +101,8 @@ def syzygies(columns: list[Vector], modulo: list[Vector] = ()) -> list[Vector]:
     zero, one = ring.zero, ring.one
     gens = [Vector(c.components + tuple(one if i == j else zero for i in range(s)))
             for j, c in enumerate(columns)]
-    sb = standard_basis(gens + [Vector(m.components + (zero,) * s) for m in modulo])
+    sb = standard_basis(gens + [Vector(m.components + (zero,) * s) for m in modulo],
+                        exact=True)
     return dedupe_vectors([Vector(g.components[r:]) for g in sb.generators
                            if all(p.is_zero for p in g.components[:r])])
 

@@ -296,8 +296,8 @@ def mora_divide(v: Vector, basis: list[Vector]):
 class StandardBasis:
     """Mora-computed standard basis of a submodule, with its leading structure.
 
-    corner is a degree D with m^D inside the submodule, or None when none is
-    known; the generators may then lack their terms of degree >= D.
+    corner is a degree D with m^D * O^rank inside the submodule, or None when
+    none is known; the generators may then lack their terms of degree >= D.
     """
 
     def __init__(self, generators: list[Vector], rank: int, corner: int | None = None):
@@ -334,24 +334,30 @@ def _spair(f: Vector, g: Vector) -> Vector:
     return f.mul_term(mono_div(L, mf), ag).sub_mul_term(mono_div(L, mg), af, g)
 
 
-def standard_basis(gens: list[Vector]) -> StandardBasis:
+def standard_basis(gens: list[Vector], exact: bool = False) -> StandardBasis:
     """Mora's algorithm: Buchberger completion with the local weak normal form.
 
     Deterministic: normal pair selection (minimal lcm under the ordering),
     ties broken by generator index.  Pairs are pruned by the Gebauer-Moller
-    criteria (see _mora): B and F at every rank, M and the product criterion
-    for ideals only.
+    criteria (see _mora): B, F and M, and the product criterion for ideals.
 
-    Ideals in the local degree ordering stop at a certified corner D, a
-    degree with m^D inside I (Singular's noether; Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, 1.7): every term of degree >= D is
-    dropped.  _mora finds D from the leading ideal.  When a normal form first
-    climbs to the watched degree W (one more than the top input degree)
-    before that, the basis of I + m^W is computed cut at W instead.  If its
-    staircase stops below degree W - 1, each monomial of degree D = top + 1
-    is the lead of an element of I itself, so m^D lies in I by the argument
-    of _mora, and that basis is a standard basis of I.  Otherwise W doubles,
-    and past the degree cap the plain algorithm runs.
+    In the local degree ordering the basis stops at a certified corner D, a
+    degree with m^D * O^k inside the submodule M of O^k (Singular's noether;
+    Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7 and
+    7.5): every term of degree >= D is dropped.  _mora finds D from the
+    leading module: D is the sum over the components c of D_c, one more than
+    the top degree of the staircase of the component-c leads.  For an ideal,
+    when a normal form first climbs to the watched degree W (one more than
+    the top input degree) before that, the basis of I + m^W is computed cut
+    at W instead.  If its staircase stops below degree W - 1, each monomial
+    of degree D = top + 1 is the lead of an element of I itself, so m^D lies
+    in I by the argument of _mora, and that basis is a standard basis of I.
+    Otherwise W doubles, and past the degree cap the plain algorithm runs.
+
+    exact is for a caller that reads the basis elements themselves, as
+    syzygies does: then no corner cuts them, and criterion M stays off for
+    modules, so the elements are those of the plain algorithm.  Every other
+    caller reads only the leading module, normal forms or membership.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -363,13 +369,13 @@ def standard_basis(gens: list[Vector]) -> StandardBasis:
     cap = degree_cap()
 
     G = [g.normalized() for g in gens]
-    if rank > 1 or not isinstance(ring.order, NegDegRevLex):
-        return _mora(G, rank, cap)
+    if exact or rank > 1 or not isinstance(ring.order, NegDegRevLex):
+        return _mora(G, rank, cap, exact=exact)
     watch = 1 + max(g.max_degree() for g in G)
     sb = _mora(G, rank, cap, watch=watch)
     while sb is None and watch <= cap:
         sb = _mora(G, rank, cap, corner=watch)
-        corner = _corner([m for _, m in sb.leading_module()], ring.nvars, watch)
+        corner = _corner(sb.leading_module(), rank, ring.nvars, watch)
         if corner < watch:
             sb.corner = corner
         else:
@@ -377,55 +383,72 @@ def standard_basis(gens: list[Vector]) -> StandardBasis:
     return sb if sb is not None else _mora(G, rank, cap)
 
 
-def _corner(leads: list[tuple], n: int, bound: int | None = None):
-    """One more than the top degree of the staircase of leads, with m^bound
-    adjoined when bound is given; None when the staircase is infinite."""
-    if bound is not None:
-        leads = leads + [tuple(bound if j == i else 0 for j in range(n)) for i in range(n)]
-    monos = staircase(leads, n)
-    if monos is INFINITE:
-        return None
-    return 1 + max((mono_deg(m) for m in monos if bound is None or mono_deg(m) < bound),
-                   default=-1)
+def _corner(leads: list[tuple], rank: int, n: int, bound: int | None = None):
+    """The sum over the components c of D_c, one more than the top degree of
+    the staircase of the component-c leads (c, monomial), with m^bound
+    adjoined when bound is given; None when some staircase is infinite."""
+    total = 0
+    for c in range(rank):
+        monos = [m for cm, m in leads if cm == c]
+        if bound is not None:
+            monos += [tuple(bound if j == i else 0 for j in range(n)) for i in range(n)]
+        monos = staircase(monos, n)
+        if monos is INFINITE:
+            return None
+        total += 1 + max((mono_deg(m) for m in monos if bound is None or mono_deg(m) < bound),
+                         default=-1)
+    return total
 
 
 def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
-          watch: int | None = None) -> StandardBasis | None:
+          watch: int | None = None, exact: bool = False) -> StandardBasis | None:
     """Mora's algorithm from normalized generators.
 
-    For an ideal in the local degree ordering, once the leads hold a pure
-    power of every variable, each monomial of degree D = 1 + (top staircase
-    degree) is the lead of an element of I.  In a local degree ordering those
-    elements are triangular modulo m^(D + 1), so Nakayama gives m^D inside I
-    and D becomes the corner.  A corner passed in asserts m^corner inside the
-    ideal.  Returns None when, with no corner known, a normal form reaches
-    the leading degree watch.
+    In the local degree ordering, unless exact, the corner comes from the
+    leading module of M in O^k.  Let Q_c be the image of F_c = e_c O + ... +
+    e_(k-1) O in O^k / M.  An element of M whose lead lies in component c
+    vanishes before c, so it lies in F_c.  Once the component-c leads hold a
+    pure power of every variable, each x^a e_c with |a| = D_c = 1 + (top
+    staircase degree) is the lead of such an element.  In a local degree
+    ordering those elements are triangular modulo m^(D_c + 1) F_c + F_(c+1),
+    so Nakayama gives m^(D_c) Q_c inside Q_(c+1), and m^D O^k inside M for
+    D = the sum of the D_c.  The largest D_c is not enough: in O^2,
+    <(x, 1), (y, 0), (0, x), (0, y)> has every D_c = 1 but not x e_0.  A
+    corner passed in asserts m^corner O^k inside M.  Returns None when, with
+    no corner known, a normal form reaches the leading degree watch.
+
+    With a corner D the normal forms drop every term of degree >= D, and a
+    pair is skipped only when its S-vector lies in m^D O^k: when the degree
+    of its lcm, less the most by which a term of either element falls below
+    that element's lead degree, is >= D.  No term of an ideal element falls
+    below its lead; in a module the later components can.  Under the corner
+    2 of <(x^5, 1), (x, 0), (y, 0), (0, x), (0, y)>, the pair of the first
+    two has an lcm of degree 5 and the S-vector (0, 1).
 
     Pairs join elements of one lead component and are pruned by the
     Gebauer-Moller criteria (Gebauer-Moller, On an installation of
     Buchberger's algorithm, 1988) each time an element k enters G:
-    B (every rank) retires a waiting pair (i, j) when lm(k) divides its lcm L
-    and neither lcm(i, k) nor lcm(j, k) is L; F (every rank) keeps one new
-    pair (i, k) per lcm, the one of least i.  For ideals, M drops a new pair
-    whose lcm another new lcm properly divides, and an lcm group holding a
-    coprime pair is dropped whole (the product criterion).  M and the product
-    criterion stay off for modules.  The product criterion does not hold
-    there.  M does, but it changes which elements join a module basis, and
-    the relations kernel reads its output generators off module bases; of an
-    ideal basis only the leading ideal reaches any output.  Live pairs pop
-    in the order (deg L, order key of L, i, j).
+    B retires a waiting pair (i, j) when lm(k) divides its lcm L and neither
+    lcm(i, k) nor lcm(j, k) is L; F keeps one new pair (i, k) per lcm, the
+    one of least i; M drops a new pair whose lcm another new lcm properly
+    divides.  For ideals an lcm group holding a coprime pair is dropped whole
+    (the product criterion, which does not hold for modules).  With exact,
+    M stays off for modules: it changes which elements join a module basis,
+    and the relations kernel reads its output generators off module bases.
+    Live pairs pop in the order (deg L, order key of L, i, j).
     """
     ring = G[0].ring
     G = list(G)
     reducers = _Reducers(G)
     budget = _Budget(step_budget())
-    local_ideal = rank == 1 and isinstance(ring.order, NegDegRevLex)
+    find_corner = not exact and isinstance(ring.order, NegDegRevLex)
+    criterion_m = rank == 1 or not exact
 
     def tighten(corner):
-        D = _corner([g.lead()[1] for g in G], ring.nvars)
+        D = _corner([g.lead()[:2] for g in G], rank, ring.nvars)
         return D if D is not None and (corner is None or D < corner) else corner
 
-    if local_ideal:
+    if find_corner:
         corner = tighten(corner)
     pairs = []    # heap of (deg lcm, order key of lcm, i, j), live or dead
     waiting = {}  # the live pairs: (i, j) -> (component, lcm)
@@ -445,7 +468,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
             if ci == ck:
                 L = mono_lcm(mi, mk)
                 new.append((i, L, rank == 1 and L == mono_mul(mi, mk)))
-        if rank == 1:
+        if criterion_m:
             lcms = {L for _, L, _ in new}
             new = [p for p in new
                    if not any(M != p[1] and mono_div(p[1], M) is not None for M in lcms)]
@@ -460,14 +483,22 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
                 # ordering key and the input indices make the choice deterministic
                 heapq.heappush(pairs, (mono_deg(L), ring.mono_key(L), i, k))
 
+    def below_lead(i):
+        """How far the terms of G[i] fall below its lead degree; each
+        component's first term has its least degree, as a corner is found
+        only in the local degree ordering."""
+        return mono_deg(G[i].lead()[1]) - min(mono_deg(p.terms[0][0])
+                                              for p in G[i].components if p.terms)
+
     for k in range(1, len(G)):
         update(k)
     while pairs:
         d, _, i, j = heapq.heappop(pairs)
         if waiting.pop((i, j), None) is None:
             continue  # retired by criterion B
-        if corner is not None and d >= corner:
-            continue  # the S-polynomial lies in m^corner
+        if (corner is not None and d >= corner
+                and d - max(below_lead(i), below_lead(j)) >= corner):
+            continue  # the S-vector lies in m^corner O^k
         watching = corner is None and watch is not None and watch <= cap
         try:
             h = mora_normal_form(_spair(G[i], G[j]), reducers,
@@ -481,7 +512,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
         G.append(h.normalized())
         reducers.add(G[-1])
         update(len(G) - 1)
-        if local_ideal and sum(1 for e in h.lead()[1] if e) <= 1:
+        if find_corner and sum(1 for e in h.lead()[1] if e) <= 1:
             corner = tighten(corner)
 
     # minimalize: drop generators whose lead term another one divides

@@ -155,6 +155,33 @@ def test_compute_moved_nonwh_curve(method, tmp_path, capsys):
     assert doc["mismatches"] == []
 
 
+# corpus/nonwh_space.germ moved by the first random_linear_images draw of
+# random.Random(0): the Tjurina module basis reached the degree cap before
+# module bases had a corner; the relations kernel behind --method direct and
+# both does not answer here
+MOVED_NONWH_SPACE = """\
+ring Q x y z
+X: x^2+4*x*y+4*y^2+2*x*z+4*y*z+z^2+x^3, \
+9*x^2+18*x*y+9*y^2+6*x*z+6*y*z+z^2-6*x^2*y-12*x*y^2-8*y^3-3*x^2*z-12*x*y*z\
+-12*y^2*z-3*x*z^2-6*y*z^2-z^3
+f: x
+"""
+
+
+def test_compute_formula_moved_nonwh_space(tmp_path, capsys):
+    gf = load_germfile(os.path.join(CORPUS, "nonwh_space.germ"))
+    images = random_linear_images(gf.ring, random.Random(0))
+    moved = parse_germfile(MOVED_NONWH_SPACE)
+    assert [render(p.substitute(images)) for p in gf.X.phi + (gf.f,)] == \
+        [render(p) for p in moved.X.phi + (moved.f,)]
+    p = tmp_path / "moved.germ"
+    p.write_text(MOVED_NONWH_SPACE)
+    code, out, _ = run(capsys, "compute", str(p), "--method", "formula", "--json")
+    assert code == 0
+    invariants = json.loads(out)["invariants"]
+    assert (invariants["muX"], invariants["tauX"], invariants["brMinus"]) == (9, 9, 3)
+
+
 def test_compute_not_icis(tmp_path, capsys):
     p = tmp_path / "bad.germ"
     p.write_text("ring Q x y z\nX: x*y, x*z\n")

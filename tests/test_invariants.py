@@ -1,12 +1,13 @@
 """Milnor, Tjurina, and Bruce-Roberts numbers: route agreement, vector field
 modules, characteristic ideals, and the randomized scanner."""
 
+import functools
 import glob
 import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germcalc import (ICIS, INFINITE, ChainDegenerate, Field, Germ, GermRing, Vector,
@@ -21,8 +22,8 @@ from germcalc.germfile import load_germfile, parse_germfile
 from germcalc.invariants import random_linear_images
 from germcalc.modops import jacobian_matrix
 
-CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
-                                       "corpus", "*.germ")))
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.germ")))
 
 
 @pytest.fixture
@@ -88,6 +89,20 @@ def test_tjurina_below_milnor_when_not_homogeneous(R2):
     X = ICIS((R2.parse("x^5+y^5+x^2*y^2"),))
     assert milnor_icis(X) == 11
     assert tjurina(X) == 10
+
+
+def coordinate_change(gf, seed):
+    """X and f under the first random_linear_images draw of random.Random(seed)."""
+    images = random_linear_images(gf.ring, random.Random(seed))
+    X = ICIS(tuple(p.substitute(images) for p in gf.X.phi))
+    return X, None if gf.f is None else gf.f.substitute(images)
+
+
+def test_tjurina_of_moved_nonwh_space():
+    # without a corner the module basis of this coordinate change reached the
+    # degree cap
+    X, _ = coordinate_change(load_germfile(os.path.join(CORPUS_DIR, "nonwh_space.germ")), 0)
+    assert tjurina(X) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +297,28 @@ def test_invariants_under_linear_change(fourlines, R3):
         moved = ICIS(tuple(p.substitute(images) for p in fourlines.phi))
         assert milnor_icis(moved) == 5
         assert tjurina(moved) == 5
+
+
+def coordinate_values(X, f):
+    return milnor_icis(X), tjurina(X), None if f is None else br_minus_formula(f, X)
+
+
+@functools.cache
+def unmoved_values(name):
+    gf = load_germfile(os.path.join(CORPUS_DIR, name))
+    return coordinate_values(gf.X, gf.f)
+
+
+# the examples are coordinate changes whose Tjurina module basis reached the
+# degree cap before module bases had a corner
+@given(st.sampled_from([os.path.basename(p) for p in CORPUS]), st.integers(0, 39))
+@example("nonwh_space.germ", 0)
+@example("spacecurve_z3.germ", 33)
+@example("twin_cusps.germ", 30)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_coordinate_change_leaves_invariants(name, seed):
+    X, f = coordinate_change(load_germfile(os.path.join(CORPUS_DIR, name)), seed)
+    assert coordinate_values(X, f) == unmoved_values(name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from germcalc import (INCONCLUSIVE, INFINITE, ArtinianAlgebra,
+from germcalc import (ICIS, INCONCLUSIVE, INFINITE, ArtinianAlgebra,
                       DegreeCapExceeded, Field, GermRing, StandardBasis, Vector,
                       colength, ideal_basis, jacobian_matrix, lc_ideals,
                       maximal_minors, mora_divide, mora_normal_form,
@@ -178,6 +178,81 @@ def test_corner_bases_agree_with_the_oracle():
             assert not sb.contains(vec(combo + top)), (trial, gens)
 
 
+def test_module_corner_sums_the_component_corners(R2):
+    x, y = R2.gens()
+    zero, one = R2.zero, R2.one
+    # each component's leads are x and y, so every D_c is 1, but x e_0 = -e_1
+    # lies outside M: the corner is the sum of the D_c, not their maximum
+    gens = [Vector((x, one)), Vector((y, zero)), Vector((zero, x)), Vector((zero, y))]
+    sb = standard_basis(gens)
+    assert sb.corner == 2 and colength(sb) == 2
+    assert not standard_basis(gens, exact=True).contains(Vector((x, zero)))
+    assert sb.contains(Vector((x * x, zero))) and not sb.contains(Vector((x, zero)))
+
+
+def test_module_pairs_above_the_corner_still_reduce(R2):
+    x, y = R2.gens()
+    zero, one = R2.zero, R2.one
+    # the corner 2 is known from the start, and the pair of (x^5, 1) and
+    # (x, 0) has an lcm of degree 5; its S-vector (0, 1) sits below the corner
+    gens = [Vector((x ** 5, one)), Vector((x, zero)), Vector((y, zero)),
+            Vector((zero, x)), Vector((zero, y))]
+    sb = standard_basis(gens)
+    assert colength(sb) == colength(standard_basis(gens, exact=True)) == 1
+    assert sb.contains(Vector((zero, one)))
+
+
+def moved_germ(X, seed):
+    """X under the first random_linear_images draw of random.Random(seed)."""
+    images = random_linear_images(X.ring, random.Random(seed))
+    return ICIS(tuple(p.substitute(images) for p in X.phi))
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CORPUS, "*.germ"))),
+                         ids=os.path.basename)
+def test_tangent_module_holds_its_corner(path):
+    # every x^a e_c of degree the recorded corner lies in the module, as the
+    # uncut basis that syzygies uses decides
+    X = load_germfile(path).X
+    for germ in (X, moved_germ(X, 17)):
+        gens = dedupe_vectors(list(itertools.chain(*_tangent_columns(germ))))
+        D, exact = standard_basis(gens).corner, standard_basis(gens, exact=True)
+        assert D is not None and exact.corner is None
+        R = germ.ring
+        for c in range(germ.k):
+            for a in itertools.product(range(D + 1), repeat=germ.n):
+                if sum(a) == D:
+                    v = Vector([R.monomial(a) if j == c else R.zero for j in range(germ.k)])
+                    assert exact.contains(v), (c, a)
+
+
+def test_module_corner_bases_agree_with_the_uncut_bases():
+    # random finite-colength submodules of O^k over F_32003: the colength of
+    # the basis cut at its corner against that of the plain algorithm
+    rng = random.Random(7)
+    R = GermRing(("x", "y"), Field(32003))
+    checked = 0
+    for trial in range(40):
+        k = 2 + trial % 2
+        gens = []
+        for c in range(k):
+            for i in range(R.nvars):
+                comps = [R.zero] * k
+                comps[c] = R.var(i) ** rng.randrange(1, 3)
+                gens.append(Vector([p + _random_poly(R, 2, rng) if rng.random() < 0.5 else p
+                                    for p in comps]))
+        gens.append(Vector([_random_poly(R, 2, rng) for _ in range(k)]))
+        try:
+            plain = colength(standard_basis(gens, exact=True))
+        except DegreeCapExceeded:
+            continue
+        sb = standard_basis(gens)
+        assert sb.corner is not None and colength(sb) == plain, (trial, gens)
+        assert_buchberger(sb, [g for g in gens if not g.is_zero])
+        checked += 1
+    assert checked >= 20
+
+
 def assert_buchberger(sb, gens):
     """Buchberger's criterion, independent of the pairs the run kept: sb holds
     the generators, and the S-vector of any two of its elements with the same
@@ -210,7 +285,14 @@ def corpus_certificate_inputs(path):
 def test_corpus_bases_satisfy_buchberger(path):
     for name, gens in corpus_certificate_inputs(path).items():
         assert gens, name
-        assert_buchberger(standard_basis(gens), gens)
+        # the relations-kernel input through the uncut path that syzygies takes
+        assert_buchberger(standard_basis(gens, exact=name == "kernel"), gens)
+    # the tangent module of the criterion-6 coordinate change, cut at its corner
+    X = moved_germ(load_germfile(path).X, 17)
+    gens = dedupe_vectors(list(itertools.chain(*_tangent_columns(X))))
+    sb = standard_basis(gens)
+    assert sb.corner is not None
+    assert_buchberger(sb, gens)
 
 
 # ---------------------------------------------------------------------------
