@@ -339,7 +339,8 @@ def cmd_corpus(args) -> int:
         raise InputError(f"no .germ files in {args.directory}")
     start = time.perf_counter()
     if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
+        # the fork start method starts every worker at the first submit
+        with concurrent.futures.ProcessPoolExecutor(min(args.workers, len(paths))) as pool:
             items = list(pool.map(_corpus_item, paths))
     else:
         items = [_corpus_item(p) for p in paths]

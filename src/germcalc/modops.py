@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .ring import Polynomial, mono_deg, mono_div
+from .ring import Polynomial, mono_div
 from .stdbasis import (INFINITE, StandardBasis, Vector, colength, ideal_basis,
                        staircase, standard_basis)
 
@@ -227,12 +227,19 @@ def matrix_rank(rows: list[list], field) -> int:
 # ---------------------------------------------------------------------------
 # the Artinian algebra O_n/J and Koszul homology
 
+class _InfiniteColength(ValueError):
+    """The ideal of an ArtinianAlgebra has infinite colength."""
+
+
 class ArtinianAlgebra:
     """Finite-dimensional quotient of the local ring by a finite-colength ideal.
 
-    The basis is the set of standard monomials; reduction truncates at total
-    degree equal to the dimension, which is sound because the maximal ideal of
-    an Artinian local algebra of length d is nilpotent of order at most d.
+    The basis is the set of standard monomials.  Reduction runs through the
+    reducer index of J's standard basis and drops every term of degree at
+    least the corner D the basis records (m^D inside J).  A basis with no
+    corner, in an ordering other than the local degree ordering, truncates at
+    the dimension instead, which is sound because the maximal ideal of an
+    Artinian local algebra of length d is nilpotent of order at most d.
     J is given by its generators or by its standard basis.
     """
 
@@ -240,61 +247,48 @@ class ArtinianAlgebra:
         if not isinstance(J, StandardBasis):
             J = [p for p in J if not p.is_zero]
             if not J:
-                raise ValueError("zero ideal has infinite colength")
+                raise _InfiniteColength("zero ideal has infinite colength")
             J = ideal_basis(J)
         self.sb = J
         self.ring = J.ring
-        self._leads = [(g.lead()[1], g) for g in self.sb.generators]
-        basis = staircase([m for m, _ in self._leads], self.ring.nvars)
+        basis = staircase([m for _, m in J.leading_module()], self.ring.nvars)
         if basis is INFINITE:
-            raise ValueError("ideal does not have finite colength")
+            raise _InfiniteColength("ideal does not have finite colength")
         self.basis = sorted(basis, key=self.ring.mono_key, reverse=True)
         self.dim = len(self.basis)
-        self.trunc = max(self.dim, 1)
+        self.trunc = J.corner if J.corner is not None else max(self.dim, 1)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._var_tables = None
 
     @classmethod
     def of(cls, J: list[Polynomial] | StandardBasis) -> "ArtinianAlgebra | None":
         """O/J, or None when J has infinite colength."""
-        if not isinstance(J, StandardBasis):
-            J = [p for p in J if not p.is_zero]
-            if not J:
-                return None
-            J = ideal_basis(J)
-        return cls(J) if colength(J) is not INFINITE else None
+        try:
+            return cls(J)
+        except _InfiniteColength:
+            return None
 
     def normal_form(self, p: Polynomial) -> dict:
-        """Fully reduced representative, supported on standard monomials."""
+        """Fully reduced representative, supported on standard monomials.
+
+        The largest term off them is cancelled by the first reducer of the
+        basis's index with the exact coefficient: a multiplication table needs
+        the representative itself, not the unit multiple of it that a Mora
+        normal form may return."""
         F = self.ring.field
-        d = {m: c for m, c in p.terms if mono_deg(m) < self.trunc}
+        first, trunc = self.sb.reducers.first, self.trunc
+        p = p.truncated(trunc)
         while True:
-            best = None
-            for m in d:
-                if m in self._index:
-                    continue
-                if best is None or self.ring.mono_key(m) > self.ring.mono_key(best):
-                    best = m
-            if best is None:
-                return d
-            g = next(g for lm, g in self._leads if mono_div(best, lm) is not None)
-            lm, lc = g.components[0].lead()
-            q = mono_div(best, lm)
-            factor = F.div(d[best], lc)
-            for gm, gc in g.components[0].terms:
-                m2 = tuple(a + b for a, b in zip(gm, q))
-                if mono_deg(m2) >= self.trunc:
-                    continue
-                c2 = F.sub(d.get(m2, F.zero), F.mul(factor, gc))
-                if c2 == F.zero:
-                    d.pop(m2, None)
-                else:
-                    d[m2] = c2
+            t = next((t for t in p.terms if t[0] not in self._index), None)
+            if t is None:
+                return dict(p.terms)
+            _, _, mg, ag, g = first(0, t[0])
+            p = p.sub_mul_term(mono_div(t[0], mg), F.div(t[1], ag),
+                               g.components[0]).truncated(trunc)
 
     def vector_of(self, p: Polynomial) -> list:
-        F = self.ring.field
         nf = self.normal_form(p)
-        return [nf.get(m, F.zero) for m in self.basis]
+        return [nf.get(m, self.ring.field.zero) for m in self.basis]
 
     def multiplication_matrix(self, g: Polynomial) -> list[list]:
         """Row-major matrix of multiplication by g on the monomial basis."""
@@ -308,11 +302,9 @@ class ArtinianAlgebra:
         return self._var_tables
 
     def tables_commute(self) -> bool:
-        tables = self.variable_tables()
-        for a, b in itertools.combinations(tables, 2):
-            if _mat_mul(a, b, self.ring.field) != _mat_mul(b, a, self.ring.field):
-                return False
-        return True
+        F = self.ring.field
+        return all(_mat_mul(a, b, F) == _mat_mul(b, a, F)
+                   for a, b in itertools.combinations(self.variable_tables(), 2))
 
 
 def _mat_mul(a, b, field):
@@ -347,29 +339,23 @@ def koszul_tor(I: list[Polynomial], J: list[Polynomial] | ArtinianAlgebra) -> li
 
     subsets = [list(itertools.combinations(range(k), p)) for p in range(k + 1)]
 
+    negated = [[[field.neg(c) for c in row] for row in M] for M in maps]
+
     def differential(p: int):
-        """Matrix of d_p : C_p -> C_{p-1}, blocks of multiplication maps."""
+        """Matrix of d_p : C_p -> C_{p-1}, blocks of multiplication maps.  A
+        p-subset and the generator removed from it fix the (p-1)-subset, so
+        each block is written once."""
         src = subsets[p]
         dst = {s: i for i, s in enumerate(subsets[p - 1])}
         rows = [[field.zero] * (len(src) * mu) for _ in range(len(dst) * mu)]
         for sj, sub in enumerate(src):
             for a, gen_idx in enumerate(sub):
-                reduced = tuple(x for x in sub if x != gen_idx)
-                di = dst[reduced]
-                sign = 1 if a % 2 == 0 else -1
-                M = maps[gen_idx]
+                block = (maps if a % 2 == 0 else negated)[gen_idx]
+                di = dst[sub[:a] + sub[a + 1:]]
                 for i in range(mu):
-                    row = rows[di * mu + i]
-                    for j in range(mu):
-                        val = M[i][j] if sign == 1 else field.neg(M[i][j])
-                        row[sj * mu + j] = field.add(row[sj * mu + j], val)
+                    rows[di * mu + i][sj * mu:(sj + 1) * mu] = block[i]
         return rows
 
-    ranks = [0] * (k + 2)
-    for p in range(1, k + 1):
-        ranks[p] = matrix_rank(differential(p), field)
-    dims = []
-    for p in range(k + 1):
-        dims.append(len(subsets[p]) * mu - ranks[p] - ranks[p + 1])
-    return dims
+    ranks = [0] + [matrix_rank(differential(p), field) for p in range(1, k + 1)] + [0]
+    return [len(subsets[p]) * mu - ranks[p] - ranks[p + 1] for p in range(k + 1)]
 

@@ -7,16 +7,14 @@ from operator import add
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Miller-Rabin on the prime bases up to 37, which is exact for p < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d with d odd
+    d = (p - 1) >> s
+    return all(x == 1 or p - 1 in (pow(x, 2 ** r, p) for r in range(s))
+               for x in (pow(a, d, p) for a in bases))
 
 
 class Field:
@@ -30,6 +28,8 @@ class Field:
     __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
+        if p is not None and p >= 2 ** 64:
+            raise ValueError(f"modulus must be below 2^64, got {p}")
         if p is not None and not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
@@ -393,6 +393,10 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         return self.mul_term((0,) * self.ring.nvars, c)
+
+    def truncated(self, degree: int) -> "Polynomial":
+        """self without its terms of total degree >= degree."""
+        return Polynomial(self.ring, tuple(t for t in self.terms if mono_deg(t[0]) < degree))
 
     def derivative(self, i: int) -> "Polynomial":
         F = self.ring.field

@@ -12,6 +12,7 @@ import heapq
 import itertools
 import os
 from bisect import insort
+from functools import cached_property
 from math import gcd, lcm
 from operator import le
 
@@ -190,8 +191,7 @@ def _lead_reducible_by(h_lead, g_lead):
 
 def _truncated(v: Vector, corner: int) -> Vector:
     """v without its terms of degree >= corner."""
-    return Vector(tuple(Polynomial(p.ring, tuple(t for t in p.terms if mono_deg(t[0]) < corner))
-                        for p in v.components))
+    return Vector(tuple(p.truncated(corner) for p in v.components))
 
 
 class _Reducers:
@@ -304,19 +304,21 @@ class StandardBasis:
         self.generators = list(generators)
         self.rank = rank
         self.corner = corner
-        self._reducers = None
 
     @property
     def ring(self) -> GermRing:
         return self.generators[0].ring
 
+    @cached_property
+    def reducers(self) -> _Reducers:
+        """The one reducer index of the generators, built on first use."""
+        return _Reducers(self.generators)
+
     def leading_module(self):
         return [g.lead()[:2] for g in self.generators]
 
     def normal_form(self, v: Vector) -> Vector:
-        if self._reducers is None:
-            self._reducers = _Reducers(self.generators)
-        return mora_normal_form(v, self._reducers, corner=self.corner)
+        return mora_normal_form(v, self.reducers, corner=self.corner)
 
     def contains(self, v: Vector) -> bool:
         if v.is_zero:

@@ -1,5 +1,6 @@
 """Germfile parsing, subcommands, JSON reports, and exit codes."""
 
+import concurrent.futures
 import contextlib
 import glob
 import io
@@ -374,6 +375,29 @@ def test_conjecture_bad_field(tag, capsys):
     assert (code, out, err) == (2, "", f"error: --field: {BAD_FIELDS[tag]}\n")
 
 
+LARGE_MODULI = {10**18 + 1: "modulus must be prime, got 1000000000000000001",
+                2**89 - 1: "modulus must be below 2^64, got 618970019642690137449562111"}
+
+
+@pytest.mark.parametrize("p", sorted(LARGE_MODULI))
+def test_large_modulus_is_an_input_error(p, tmp_path, capsys):
+    germ = tmp_path / "big.germ"
+    germ.write_text(f"ring Fp:{p} x y\nX: x^2+y^3\n")
+    code, out, err = run(capsys, "compute", str(germ))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert LARGE_MODULI[p] in err
+    code, out, err = run(capsys, "conjecture", "--n", "2", "--k", "1",
+                         "--trials", "1", "--field", f"Fp:{p}")
+    assert (code, out, err) == (2, "", f"error: --field: {LARGE_MODULI[p]}\n")
+
+
+def test_compute_over_a_large_prime(tmp_path, capsys):
+    germ = tmp_path / "big.germ"
+    germ.write_text("ring Fp:1000000000000000003 x y\nX: x^2+y^3\n")
+    code, out, _ = run(capsys, "compute", str(germ), "--json")
+    assert code == 0 and json.loads(out)["invariants"]["muX"] == 2
+
+
 @pytest.mark.parametrize("tag", ["Q", "Fp:7"])
 def test_conjecture_field(tag, capsys):
     code, out, _ = run(capsys, "conjecture", "--n", "2", "--k", "1",
@@ -509,6 +533,29 @@ def test_corpus_text_summary(small_corpus, capsys):
     assert text.splitlines() == [
         f"{os.path.join(small_corpus, name)}.germ: PASS"
         for name in ("a2_cusp", "d4", "e7")] + ["verdict: PASS"]
+
+
+def test_corpus_pool_has_at_most_one_worker_per_file(small_corpus, capsys, monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process: no process starts."""
+
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    code, _, _ = run(capsys, "corpus", small_corpus, "--workers", "64", "--json")
+    assert code == 0 and asked == [3]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc import (INFINITE, ArtinianAlgebra, Field, GermRing,
-                      InternalError, Subquotient, Vector,
+from germcalc import (INFINITE, ArtinianAlgebra, DegreeCapExceeded, Field,
+                      GermRing, InternalError, Subquotient, Vector,
                       colength, determinant, ideal_basis, ideal_product,
                       intersect, jacobian_matrix, koszul_tor,
                       matrix_rank, maximal_minors, quotient_ideal, staircase,
@@ -299,3 +299,95 @@ def test_koszul_tor_mod_p():
     I = [R.parse("x"), R.parse("y")]
     J = [R.parse("x^2"), R.parse("y^2")]
     assert koszul_tor(I, J) == [1, 2, 1]
+
+
+def test_artinian_algebra_of_infinite_colength(R2):
+    x, y = R2.gens()
+    for gens in ([], [R2.zero], [x * y]):
+        assert ArtinianAlgebra.of(gens) is None
+        with pytest.raises(ValueError):
+            ArtinianAlgebra(gens)
+    assert ArtinianAlgebra.of(ideal_basis([x * y])) is None
+
+
+# ---------------------------------------------------------------------------
+# the algebra's reduction against a loop with no reducer index
+
+def reference_normal_form(algebra, p):
+    """Reduction with no reducer index: the largest term outside the
+    standard monomials is reduced by the first basis element, in generator
+    order, whose lead divides it, subtracting term by term, and every term
+    of degree >= max(dim, 1) is dropped."""
+    F, key = algebra.ring.field, algebra.ring.mono_key
+    trunc = max(algebra.dim, 1)
+    leads = [(g.lead()[1], g.components[0]) for g in algebra.sb.generators]
+    standard = set(algebra.basis)
+    d = {m: c for m, c in p.terms if sum(m) < trunc}
+    while True:
+        outside = [m for m in d if m not in standard]
+        if not outside:
+            return d
+        best = max(outside, key=key)
+        lm, g = next((lm, g) for lm, g in leads
+                     if all(a >= b for a, b in zip(best, lm)))
+        q = tuple(a - b for a, b in zip(best, lm))
+        factor = F.div(d[best], g.lead()[1])
+        for gm, gc in g.terms:
+            m2 = tuple(a + b for a, b in zip(gm, q))
+            if sum(m2) >= trunc:
+                continue
+            c2 = F.sub(d.get(m2, F.zero), F.mul(factor, gc))
+            if c2 == F.zero:
+                d.pop(m2, None)
+            else:
+                d[m2] = c2
+
+
+ALGEBRA_RINGS = (GermRing(("x", "y")), GermRing(("x", "y"), Field(32003)),
+                 GermRing(("x", "y", "z")), GermRing(("x", "y", "z"), Field(32003)))
+
+
+def random_poly(R, rng, degrees, terms):
+    p = R.zero
+    for _ in range(terms):
+        m = [0] * R.nvars
+        for _ in range(rng.randint(*degrees)):
+            m[rng.randrange(R.nvars)] += 1
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        p = p + R.monomial(tuple(m), R.field.from_fraction(c.numerator, c.denominator))
+    return p
+
+
+def random_algebras(count, seed=0):
+    """Finite-colength ideals of n or n + 1 generators without linear terms,
+    over Q and F_32003 in 2 and 3 variables, and their algebras."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        R = ALGEBRA_RINGS[len(out) % len(ALGEBRA_RINGS)]
+        degrees = (2, 4 if R.nvars == 2 else 3)
+        gens = [random_poly(R, rng, degrees, rng.randint(1, 3))
+                for _ in range(R.nvars + rng.randint(0, 1))]
+        try:
+            algebra = ArtinianAlgebra.of(gens)
+        except DegreeCapExceeded:
+            continue  # an ideal of infinite colength can reach the cap
+        if algebra is not None:
+            out.append(algebra)
+    return out
+
+
+def test_artinian_reduction_matches_the_reference():
+    rng = random.Random(1)
+    algebras = random_algebras(60)
+    # the basis's corner truncates below the length bound on most draws
+    assert sum(A.sb.corner < A.dim for A in algebras) > 30
+    for A in algebras:
+        for _ in range(5):
+            p = random_poly(A.ring, rng, (0, 6), rng.randint(1, 6))
+            ref = reference_normal_form(A, p)
+            assert A.vector_of(p) == [ref.get(m, 0) for m in A.basis]
+        for i, table in enumerate(A.variable_tables()):
+            x = A.ring.var(i)
+            assert table == [[reference_normal_form(A, x * A.ring.monomial(m)).get(b, 0)
+                              for m in A.basis] for b in A.basis]

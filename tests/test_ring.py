@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from germcalc import (DegRevLex, Field, GermRing, NegDegRevLex, ParseError,
                       Polynomial, matrix_rank, render)
-from germcalc.ring import QQ, BlockOrder, mono_deg, mono_div, mono_lcm, mono_mul
+from germcalc.ring import (QQ, BlockOrder, _is_prime, mono_deg, mono_div, mono_lcm,
+                           mono_mul)
 
 # one global variable above a local block of two
 ELIMINATION_BLOCK = BlockOrder([(0, 1, DegRevLex()), (1, 3, NegDegRevLex())])
@@ -44,6 +45,25 @@ def test_prime_field_arithmetic():
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_large_prime_moduli():
+    for p in (10**18 + 3, 2**61 - 1, 2**64 - 59):
+        assert Field(p).p == p
+    # 10^18 + 1 is 101 * 9901 * ..., the next number a strong pseudoprime to
+    # every prime base up to 23, and 2^64 + 13 and 2^89 - 1 primes above 2^64
+    for p in (10**18 + 1, 3825123056546413051, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(ValueError):
+            Field(p)
+
+
+def test_primality_matches_a_sieve():
+    N = 10**5
+    sieve = [False, False] + [True] * (N - 2)
+    for i in range(2, int(N ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, N, i))
+    assert [p for p in range(N) if _is_prime(p)] == [p for p in range(N) if sieve[p]]
 
 
 def test_prime_field_inverse_of_zero():

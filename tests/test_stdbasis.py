@@ -202,6 +202,16 @@ def test_module_pairs_above_the_corner_still_reduce(R2):
     assert sb.contains(Vector((zero, one)))
 
 
+def test_module_of_unit_generators_has_corner_zero(R2):
+    # both components hold a unit, so M is all of O^2; with no corner the
+    # normal form of this member climbed past the degree cap
+    sb = standard_basis([Vector((R2.zero, R2.parse("1+y+y^3"))),
+                         Vector((R2.parse("1+1/2*x"), R2.zero))])
+    assert sb.corner == 0 and colength(sb) == 0
+    p = R2.parse("1+x^3")
+    assert sb.contains(Vector((p, p * p)))
+
+
 def moved_germ(X, seed):
     """X under the first random_linear_images draw of random.Random(seed)."""
     images = random_linear_images(X.ring, random.Random(seed))
