@@ -314,9 +314,17 @@ class Germ:
         return tor1_dimension(list(self.X.phi), self.jf, self.jf_basis)
 
     @cached_property
+    def br_minus_basis(self) -> StandardBasis | None:
+        """The standard basis of df(Theta_X) + I_X that br_minus_direct and
+        the p47 check both read; None for the zero ideal."""
+        gens = [p for p in df_image(self.f, self.theta) + list(self.X.phi)
+                if not p.is_zero]
+        return ideal_basis(gens) if gens else None
+
+    @cached_property
     def br_minus_direct(self):
         """colength(df(Theta_X) + I_X)."""
-        return ideal_colength(df_image(self.f, self.theta) + list(self.X.phi))
+        return INFINITE if self.br_minus_basis is None else colength(self.br_minus_basis)
 
     @cached_property
     def br_minus_formula(self):
@@ -395,7 +403,8 @@ class Germ:
         phi = list(self.X.phi)
         num = df_image(f, self.theta) + phi
         den = df_image(f, self.theta_trivial) + phi
-        return first, Subquotient.of_ideals(num, den).colength()
+        basis = self.br_minus_basis if self.f is not None else None
+        return first, Subquotient.of_ideals(num, den, numerator_basis=basis).colength()
 
     def polar_and_euler(self):
         """Polar multiplicity of the generic linear projection and the local

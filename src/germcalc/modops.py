@@ -7,9 +7,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .ring import Polynomial, mono_div
-from .stdbasis import (INFINITE, StandardBasis, Vector, colength, ideal_basis,
-                       staircase, standard_basis)
+from .ring import Polynomial, mono_div, sub_mul_into
+from .stdbasis import (INFINITE, DegreeCapExceeded, StandardBasis, Vector, colength,
+                       ideal_basis, oracle_colength, staircase, standard_basis)
 
 
 class InternalError(RuntimeError):
@@ -144,14 +144,19 @@ def ideal_product(I: list[Polynomial], J: list[Polynomial]) -> list[Polynomial]:
 # subquotients
 
 class Subquotient:
-    """A module (numerator)/(denominator) inside a common free ambient."""
+    """A module (numerator)/(denominator) inside a common free ambient.
+
+    numerator_basis is a standard basis of the numerator that the caller
+    already holds."""
 
     def __init__(self, numerator: list[Vector], denominator: list[Vector],
-                 check: bool = True):
+                 check: bool = True, numerator_basis: StandardBasis | None = None):
         self.numerator = [v for v in numerator if not v.is_zero]
         self.denominator = [v for v in denominator if not v.is_zero]
         if len({v.rank for v in self.numerator + self.denominator}) > 1:
             raise ValueError("ambient rank mismatch")
+        if numerator_basis is not None:
+            self._numerator_basis = numerator_basis
         if check and self.denominator:
             if not self.numerator:
                 raise ValueError("denominator not contained in zero numerator")
@@ -165,9 +170,11 @@ class Subquotient:
 
     @classmethod
     def of_ideals(cls, numerator: list[Polynomial], denominator: list[Polynomial],
-                  check: bool = True) -> "Subquotient":
+                  check: bool = True,
+                  numerator_basis: StandardBasis | None = None) -> "Subquotient":
         return cls([Vector.ideal(p) for p in numerator],
-                   [Vector.ideal(p) for p in denominator], check=check)
+                   [Vector.ideal(p) for p in denominator], check=check,
+                   numerator_basis=numerator_basis)
 
     def colength(self):
         """Present the numerator by its generators and divide out all relations
@@ -262,10 +269,16 @@ class ArtinianAlgebra:
 
     @classmethod
     def of(cls, J: list[Polynomial] | StandardBasis) -> "ArtinianAlgebra | None":
-        """O/J, or None when J has infinite colength."""
+        """O/J, or None when J has infinite colength.  When the Mora run of J
+        reaches the degree cap, the oracle decides: None if it finds the
+        colength infinite, the cap error otherwise."""
         try:
             return cls(J)
         except _InfiniteColength:
+            return None
+        except DegreeCapExceeded:
+            if isinstance(J, StandardBasis) or oracle_colength(J) is not INFINITE:
+                raise
             return None
 
     def normal_form(self, p: Polynomial) -> dict:
@@ -276,15 +289,15 @@ class ArtinianAlgebra:
         the representative itself, not the unit multiple of it that a Mora
         normal form may return."""
         F = self.ring.field
-        first, trunc = self.sb.reducers.first, self.trunc
-        p = p.truncated(trunc)
+        first, trunc, index = self.sb.reducers.first, self.trunc, self._index
+        d = {m: c for m, c in p.terms if sum(m) < trunc}
         while True:
-            t = next((t for t in p.terms if t[0] not in self._index), None)
-            if t is None:
-                return dict(p.terms)
-            _, _, mg, ag, g = first(0, t[0])
-            p = p.sub_mul_term(mono_div(t[0], mg), F.div(t[1], ag),
-                               g.components[0]).truncated(trunc)
+            m = max((m for m in d if m not in index), key=self.ring.mono_key, default=None)
+            if m is None:
+                return d
+            _, _, mg, ag, g = first(0, m)
+            sub_mul_into(d, mono_div(m, mg), F.div(d[m], ag), g.components[0].terms,
+                         F.p, trunc)
 
     def vector_of(self, p: Polynomial) -> list:
         nf = self.normal_form(p)

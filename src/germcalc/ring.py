@@ -112,6 +112,24 @@ def mono_deg(a: tuple) -> int:
     return sum(a)
 
 
+def sub_mul_into(d: dict, m: tuple, c, terms, p: int | None, limit: int | None = None):
+    """d -= c*x^m*(the polynomial of terms), in place, over Q (p None) or
+    F_p; a product of total degree >= limit is never inserted.  A
+    coefficient that cancels leaves d, so d holds no zero."""
+    get = d.get
+    for t, tc in terms:
+        t = tuple(map(add, t, m))
+        if limit is not None and sum(t) >= limit:
+            continue
+        v = get(t, 0) - tc * c
+        if p is not None:
+            v %= p
+        if v:
+            d[t] = v
+        else:
+            d.pop(t, None)
+
+
 # ---------------------------------------------------------------------------
 # monomial orderings
 
@@ -195,10 +213,28 @@ class BlockOrder(MonomialOrder):
 # ---------------------------------------------------------------------------
 # the ring and its elements
 
-class GermRing:
-    """Polynomial representatives of germs: named variables, a field, an ordering."""
+class _KeyCache(dict):
+    """Order keys of monomials, each computed on its first lookup."""
 
-    __slots__ = ("names", "field", "order", "nvars", "_key_cache")
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
+class GermRing:
+    """Polynomial representatives of germs: named variables, a field, an ordering.
+
+    mono_key(m) is the order key of the monomial m, a lookup in a cache that
+    sorts and max calls take as a C-level key.
+    """
+
+    __slots__ = ("names", "field", "order", "nvars", "mono_key")
 
     def __init__(self, names, field: Field = QQ, order: MonomialOrder | None = None):
         names = tuple(names)
@@ -210,13 +246,7 @@ class GermRing:
         self.field = field
         self.order = order if order is not None else NegDegRevLex()
         self.nvars = len(names)
-        self._key_cache = {}
-
-    def mono_key(self, m: tuple):
-        k = self._key_cache.get(m)
-        if k is None:
-            k = self._key_cache[m] = self.order.key(m)
-        return k
+        self.mono_key = _KeyCache(self.order.key).__getitem__
 
     @property
     def zero(self) -> "Polynomial":
@@ -256,10 +286,11 @@ class GermRing:
         raise TypeError(f"cannot coerce {c!r} into {self.field.tag}")
 
     def from_dict(self, d: dict) -> "Polynomial":
-        zero = self.field.zero
-        terms = [(m, c) for m, c in d.items() if c != zero]
-        terms.sort(key=lambda t: self.mono_key(t[0]), reverse=True)
-        return Polynomial(self, tuple(terms))
+        """The polynomial of the nonzero terms of d (monomial -> coefficient)."""
+        if self.field.zero in d.values():
+            d = {m: c for m, c in d.items() if c}
+        monos = sorted(d, key=self.mono_key, reverse=True)
+        return Polynomial(self, tuple(zip(monos, map(d.__getitem__, monos))))
 
     def parse(self, text: str) -> "Polynomial":
         return _Parser(text, self).parse()
@@ -378,25 +409,12 @@ class Polynomial:
         """self - c*x^m*g in one dict pass (c a field element)."""
         if not g.terms or c == 0:
             return self
-        p = self.ring.field.p
         d = dict(self.terms)
-        for t, tc in g.terms:
-            t = mono_mul(t, m)
-            v = d.get(t, 0) - tc * c
-            if p is not None:
-                v %= p
-            if v:
-                d[t] = v
-            else:
-                d.pop(t, None)
+        sub_mul_into(d, m, c, g.terms, self.ring.field.p)
         return self.ring.from_dict(d)
 
     def scale(self, c) -> "Polynomial":
         return self.mul_term((0,) * self.ring.nvars, c)
-
-    def truncated(self, degree: int) -> "Polynomial":
-        """self without its terms of total degree >= degree."""
-        return Polynomial(self.ring, tuple(t for t in self.terms if mono_deg(t[0]) < degree))
 
     def derivative(self, i: int) -> "Polynomial":
         F = self.ring.field

@@ -14,10 +14,10 @@ import os
 from bisect import insort
 from functools import cached_property
 from math import gcd, lcm
-from operator import le
+from operator import le, sub
 
 from .ring import (GermRing, NegDegRevLex, Polynomial, mono_deg, mono_div,
-                   mono_lcm, mono_mul)
+                   mono_lcm, mono_mul, sub_mul_into)
 
 
 class Sentinel(enum.Enum):
@@ -134,11 +134,6 @@ class Vector:
     def mul_term(self, m, c) -> "Vector":
         return Vector(tuple(p.mul_term(m, c) for p in self.components))
 
-    def sub_mul_term(self, m, c, g: "Vector") -> "Vector":
-        """self - c*x^m*g."""
-        return Vector(tuple(a.sub_mul_term(m, c, b)
-                            for a, b in zip(self.components, g.components)))
-
     def scale(self, c) -> "Vector":
         return Vector(tuple(p.scale(c) for p in self.components))
 
@@ -181,26 +176,15 @@ class Vector:
         return "Vector(" + ", ".join(render(p) for p in self.components) + ")"
 
 
-def _lead_reducible_by(h_lead, g_lead):
-    ci, mi, _ = h_lead
-    cj, mj, _ = g_lead
-    if ci != cj:
-        return None
-    return mono_div(mi, mj)
-
-
-def _truncated(v: Vector, corner: int) -> Vector:
-    """v without its terms of degree >= corner."""
-    return Vector(tuple(p.truncated(corner) for p in v.components))
-
-
 class _Reducers:
     """The reducers of Mora's normal form, bucketed by lead component.
 
     An entry is (ecart, index, lead monomial, lead coefficient, vector), the
     index numbering the vectors from start in the order they were added.  A
     bucket stays sorted, so its first entry whose lead divides a monomial is
-    the one of minimal (ecart, index).  Zero vectors are skipped.
+    the one of minimal (ecart, index).  Zero vectors are skipped.  Over Q the
+    vectors given at construction are stored normalized, and every reducer
+    has int coefficients.
     """
 
     __slots__ = ("buckets", "size")
@@ -210,7 +194,7 @@ class _Reducers:
         self.size = start
         for g in vectors:
             if not g.is_zero:
-                self.add(g)
+                self.add(g.normalized() if g.ring.field.p is None else g)
 
     def add(self, g: Vector):
         c, m, a = g.lead()
@@ -225,6 +209,14 @@ class _Reducers:
         return None
 
 
+def _integral(h: list[dict]) -> list[dict]:
+    """The rational dicts h scaled to int coefficients."""
+    if all(type(c) is int for d in h for c in d.values()):
+        return h
+    den = lcm(*(c.denominator for d in h for c in d.values()))
+    return [{m: c.numerator * (den // c.denominator) for m, c in d.items()} for d in h]
+
+
 def mora_normal_form(v: Vector, basis, cap: int | None = None,
                      budget: _Budget | None = None, corner: int | None = None) -> Vector:
     """Mora's weak normal form with minimal-ecart reducer selection.
@@ -232,47 +224,72 @@ def mora_normal_form(v: Vector, basis, cap: int | None = None,
     basis is a list of vectors or a _Reducers index of them.  Returns r with
     u*v = (combination of basis) + r for some unit u of the local ring; r is
     0 exactly when v lies in the localized submodule.  A corner D asserts
-    m^D * O^r inside the submodule: terms of degree >= D are then dropped
-    after every reduction step.  An intermediate h that a reducer of larger
-    ecart reduces joins the reducers of this call, numbered after the basis.
+    m^D * O^r inside the submodule: terms of degree >= D are then dropped.
+    An intermediate h that a reducer of larger ecart reduces joins the
+    reducers of this call, numbered after the basis.
+
+    h is one dict per component, reduced in place, and r is normalized on
+    return once a step was made.  In between h is a nonzero multiple of that
+    line, which changes no lead, ecart or reducer choice: over Q int
+    coefficients, fraction-free steps and the content divided out after
+    each; over F_p the lead coefficient the subtraction leaves.
     """
     if cap is None:
         cap = degree_cap()
     if not isinstance(basis, _Reducers):
         basis = _Reducers(basis)
-    F = v.ring.field
-    rational = F.p is None
-    h = v if corner is None else _truncated(v, corner)
+    ring = v.ring
+    p, key = ring.field.p, ring.mono_key
+    if corner is None:
+        h = [dict(q.terms) for q in v.components]
+    else:
+        h = [{m: c for m, c in q.terms if sum(m) < corner} for q in v.components]
     appended = _Reducers(start=basis.size)
-    while not h.is_zero:
-        c, mh, ah = h.lead()
+    stepped = False
+    while True:
+        c = next((i for i, hd in enumerate(h) if hd), None)
+        if c is None:
+            break
+        mh = max(h[c], key=key)
+        dh = sum(mh)
+        if stepped and dh > cap:
+            raise DegreeCapExceeded(
+                f"leading degree exceeded safety cap {cap}; set GERMCALC_DEGREE_CAP to raise")
         best = basis.first(c, mh)
         own = appended.first(c, mh)
         if own is not None and (best is None or own < best):
             best = own
         if best is None:
             break
+        if not stepped and p is None:
+            h = _integral(h)
         eg, _, mg, ag, g = best
-        if eg and eg > h.ecart():
-            appended.add(h)
+        if eg and eg > max(max(map(sum, hd)) for hd in h if hd) - dh:
+            appended.add(Vector(map(ring.from_dict, h)))
         if budget is not None:
             budget.spend()
-        q = mono_div(mh, mg)
-        if rational and type(ag) is int and type(ah) is int:
-            # fraction-free: the Q-line of h - (ah/ag)*x^q*g, with int coefficients
+        ah = h[c][mh]
+        if p is None:
+            # fraction-free: h <- (ag/d)*h - (ah/d)*x^q*g
             d = gcd(ag, ah)
-            h = (h if ag == d else h.scale(ag // d)).sub_mul_term(q, ah // d, g)
+            if ag != d:
+                a = ag // d
+                h = [{t: x * a for t, x in hd.items()} for hd in h]
+            b = ah // d
         else:
-            h = h.sub_mul_term(q, F.div(ah, ag), g)
-        if corner is not None:
-            h = _truncated(h, corner)
-        if not h.is_zero:
-            # content renormalization keeps rational coefficients small
-            h = h.normalized()
-            if mono_deg(h.lead()[1]) > cap:
-                raise DegreeCapExceeded(
-                    f"leading degree exceeded safety cap {cap}; set GERMCALC_DEGREE_CAP to raise")
-    return h
+            b = ah * pow(ag, -1, p) % p
+        q = tuple(map(sub, mh, mg))
+        for hd, gp in zip(h, g.components):
+            sub_mul_into(hd, q, b, gp.terms, p, corner)
+        if p is None:
+            # dividing out the content keeps the coefficients small
+            d = gcd(*itertools.chain.from_iterable(hd.values() for hd in h))
+            if d > 1:
+                h = [{t: x // d for t, x in hd.items()} for hd in h]
+        stepped = True
+    if not stepped:
+        return v if corner is None else Vector(map(ring.from_dict, h))
+    return Vector(map(ring.from_dict, h)).normalized()
 
 
 def mora_divide(v: Vector, basis: list[Vector]):
@@ -333,7 +350,9 @@ def _spair(f: Vector, g: Vector) -> Vector:
     cg, mg, ag = g.lead()
     assert cf == cg
     L = mono_lcm(mf, mg)
-    return f.mul_term(mono_div(L, mf), ag).sub_mul_term(mono_div(L, mg), af, g)
+    qf, qg = mono_div(L, mf), mono_div(L, mg)
+    return Vector(a.mul_term(qf, ag).sub_mul_term(qg, af, b)
+                  for a, b in zip(f.components, g.components))
 
 
 def standard_basis(gens: list[Vector], exact: bool = False) -> StandardBasis:
@@ -460,7 +479,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
         (B), then enter the pairs (i, k) that the criteria keep (M, F)."""
         ck, mk, _ = G[k].lead()
         for ij, (c, L) in list(waiting.items()):
-            if (c == ck and mono_div(L, mk) is not None
+            if (c == ck and all(map(le, mk, L))
                     and mono_lcm(G[ij[0]].lead()[1], mk) != L
                     and mono_lcm(G[ij[1]].lead()[1], mk) != L):
                 del waiting[ij]
@@ -473,7 +492,7 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
         if criterion_m:
             lcms = {L for _, L, _ in new}
             new = [p for p in new
-                   if not any(M != p[1] and mono_div(p[1], M) is not None for M in lcms)]
+                   if not any(M != p[1] and all(map(le, M, p[1])) for M in lcms)]
         groups = {}
         for i, L, coprime in new:
             group = groups.setdefault(L, [i, False])
@@ -518,19 +537,10 @@ def _mora(G: list[Vector], rank: int, cap: int, corner: int | None = None,
             corner = tighten(corner)
 
     # minimalize: drop generators whose lead term another one divides
-    keep = []
-    leads = [g.lead() for g in G]
-    for i, g in enumerate(G):
-        redundant = False
-        for j, h in enumerate(G):
-            if i == j:
-                continue
-            q = _lead_reducible_by(leads[i], leads[j])
-            if q is not None and (q != (0,) * ring.nvars or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
+    leads = [g.lead()[:2] for g in G]
+    keep = [G[i] for i, (ci, mi) in enumerate(leads)
+            if not any(cj == ci and all(map(le, mj, mi)) and (mj != mi or j < i)
+                       for j, (cj, mj) in enumerate(leads) if j != i)]
     return StandardBasis(keep, rank, corner)
 
 
@@ -554,7 +564,7 @@ def staircase(leads: list[tuple], n: int):
             return INFINITE
         bounds.append(min(pure))
     return [mono for mono in itertools.product(*(range(b) for b in bounds))
-            if not any(mono_div(mono, m) is not None for m in leads)]
+            if not any(all(map(le, m, mono)) for m in leads)]
 
 
 def colength(basis: StandardBasis):

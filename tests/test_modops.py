@@ -301,13 +301,25 @@ def test_koszul_tor_mod_p():
     assert koszul_tor(I, J) == [1, 2, 1]
 
 
-def test_artinian_algebra_of_infinite_colength(R2):
+def test_artinian_algebra_of_infinite_colength(R2, R3p, monkeypatch):
     x, y = R2.gens()
     for gens in ([], [R2.zero], [x * y]):
         assert ArtinianAlgebra.of(gens) is None
         with pytest.raises(ValueError):
             ArtinianAlgebra(gens)
     assert ArtinianAlgebra.of(ideal_basis([x * y])) is None
+    # all four vanish on the z-axis, and their Mora run climbs to the degree
+    # cap: the oracle finds the colength infinite
+    J = [R3p.parse(s) for s in (
+        "10667*x*z+4*x^3+32002*y^2*z", "16002*x*y+32001*x^3+16002*y^3",
+        "16003*x^2+2*x*z^2", "x*y+2*x*z+10668*y^2*z")]
+    with pytest.raises(DegreeCapExceeded):
+        ArtinianAlgebra(J)
+    assert ArtinianAlgebra.of(J) is None
+    # a cap hit on an ideal the oracle finds of finite colength still raises
+    monkeypatch.setenv("GERMCALC_STEP_BUDGET", "0")
+    with pytest.raises(DegreeCapExceeded):
+        ArtinianAlgebra.of([R2.parse("x^2+y^3"), R2.parse("x*y+x^3")])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from germcalc.invariants import (_random_mix, _random_poly, _tangent_columns,
                                  jacobian_ideal, random_linear_images,
                                  relative_jacobian_ideal)
 from germcalc.modops import dedupe_vectors
-from germcalc.stdbasis import _spair
+from germcalc.stdbasis import _Budget, _spair
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -519,11 +519,11 @@ def test_integer_coefficients_and_cached_leads_over_q(vectors, polys, p):
 # ---------------------------------------------------------------------------
 # the reducer index against one flat reducer list
 
-def flat_normal_form(v, basis, cap, corner=None):
+def flat_normal_form(v, basis, cap, corner=None, budget=None):
     """Mora's weak normal form with every reducer in one list T: the nonzero
     basis elements, then each appended h.  The reducer is the minimum of
     (ecart, position in T) among those whose lead divides, and the step
-    subtracts by negate-then-add."""
+    subtracts by negate-then-add.  Each step spends one unit of budget."""
     F = v.ring.field
 
     def cut(w):
@@ -547,6 +547,8 @@ def flat_normal_form(v, basis, cap, corner=None):
         g, (_, mg, ag), eg = T[idx]
         if eg > h.ecart():
             T.append((h, h.lead(), h.ecart()))
+        if budget is not None:
+            budget.spend()
         q = tuple(a - b for a, b in zip(mh, mg))
         if F.p is None and type(ag) is int and type(ah) is int:
             d = math.gcd(ag, ah)
@@ -562,19 +564,21 @@ def flat_normal_form(v, basis, cap, corner=None):
 
 
 REDUCTION_CAP = 10
-REDUCTION_RINGS = (GermRing(("x", "y")), GermRing(("x", "y"), Field(32003)))
+REDUCTION_RINGS = (GermRing(("x", "y")), GermRing(("x", "y"), Field(32003)),
+                   GermRing(("x", "y", "z")))
 
 
 @st.composite
 def reduction_inputs(draw):
-    """A ring, a basis of 1-4 vectors of rank 1-3 (zero vectors too), two
-    vectors to reduce and an optional corner.  Entries have 0-3 terms of
-    degree at most 3 in each variable, so reducers of positive ecart are
-    common: in about a fifth of the reductions an intermediate h joins the
-    reducers, and about one in seventy reaches the degree cap."""
+    """A ring in 2 or 3 variables, a basis of 1-4 vectors of rank 1-3 (zero
+    vectors too), two vectors to reduce and an optional corner.  Entries
+    have 0-3 terms of degree at most 3 in each variable, so reducers of
+    positive ecart are common: in about one in seven of the reductions an
+    intermediate h joins the reducers, and about one in eighty reaches the
+    degree cap."""
     R = draw(st.sampled_from(REDUCTION_RINGS))
     rank = draw(st.integers(1, 3))
-    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals,
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * R.nvars), rationals,
                             max_size=3).map(
         lambda d: sum((R.monomial(m, c) for m, c in d.items()), R.zero))
     vectors = st.lists(polys, min_size=rank, max_size=rank).map(Vector)
@@ -582,9 +586,9 @@ def reduction_inputs(draw):
     return basis, draw(vectors), draw(vectors), draw(st.none() | st.integers(3, 6))
 
 
-def assert_same_normal_form(reduce, v, basis, corner):
+def assert_same_normal_form(reduce, v, basis, corner, budget=None):
     try:
-        expected = flat_normal_form(v, basis, REDUCTION_CAP, corner)
+        expected = flat_normal_form(v, basis, REDUCTION_CAP, corner, budget)
     except DegreeCapExceeded:
         with pytest.raises(DegreeCapExceeded):
             reduce(v)
@@ -596,9 +600,12 @@ def assert_same_normal_form(reduce, v, basis, corner):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_indexed_normal_form_matches_the_flat_list(case):
     basis, v, w, corner = case
+    spent, flat_spent = _Budget(10 ** 6), _Budget(10 ** 6)
     assert_same_normal_form(
-        lambda u: mora_normal_form(u, basis, cap=REDUCTION_CAP, corner=corner),
-        v, basis, corner)
+        lambda u: mora_normal_form(u, basis, cap=REDUCTION_CAP, budget=spent, corner=corner),
+        v, basis, corner, flat_spent)
+    # one unit of budget per reduction step, as in the flat list
+    assert spent.remaining == flat_spent.remaining
     # a StandardBasis builds its index once; what one call appends must not
     # reach the next call
     sb = StandardBasis([g for g in basis if not g.is_zero], v.rank, corner)
